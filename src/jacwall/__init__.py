@@ -19,6 +19,7 @@ anywhere.
 
 from .divisor_classes import (
     DivisorClass,
+    basis_labels,
     binom2,
     class_algebra,
     hain_class,

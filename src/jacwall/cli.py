@@ -22,40 +22,21 @@ from fractions import Fraction
 from . import jsonio
 from .divisor_classes import (
     DivisorClass,
-    class_algebra,
+    basis_labels,
     hain_class,
     mueller_class,
     mueller_comparison,
     stable_pairs_class,
     theta_pullback,
     wall_crossing,
-    wall_crossing_single,
-    zero_class,
 )
-from .errors import (
-    BasisMismatch,
-    DegenerateParameter,
-    DegreeSumMismatch,
-    EmptyOrFullSubset,
-    EmptySubset,
-    GraphMismatch,
-    InadmissiblePair,
-    InvalidGN,
-    InvalidGraph,
-    InvalidParameter,
-    LoopEdge,
-    MalformedInput,
-    NoNegativeDegree,
-    NonAmple,
-    NotTreeLike,
-)
+from .errors import JacwallError, MalformedInput, NoNegativeDegree
 from .graphs import admissible_pairs, enumerate_tree_type_graphs, genus
 from .multidegrees import all_stable_multidegrees_bruteforce, is_semistable, stable_multidegree
 from .stability import (
     PolytopeLabel,
     canonical_parameter,
     extend_to_graph,
-    is_nondegenerate,
     is_theta_flat,
     is_theta_reduced,
     phi_from_degrees,
@@ -65,22 +46,6 @@ from .stability import (
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_MALFORMED = 2
-EXIT_DEGENERATE = 3
-EXIT_GRAPH_SHAPE = 4
-EXIT_PRECONDITION = 5
-
-_GRAPH_SHAPE_ERRORS = (NotTreeLike, LoopEdge, InvalidGraph, GraphMismatch)
-_PRECONDITION_ERRORS = (
-    DegreeSumMismatch,
-    NoNegativeDegree,
-    InadmissiblePair,
-    NonAmple,
-    EmptySubset,
-    EmptyOrFullSubset,
-    BasisMismatch,
-)
-_MALFORMED_ERRORS = (MalformedInput, InvalidGN, InvalidParameter)
 
 
 # -- small helpers ---------------------------------------------------------------
@@ -97,10 +62,8 @@ def _load_json(path: str):
 
 
 def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(part.strip()) for part in text.split(",")]
-    except ValueError:
-        raise MalformedInput(f"expected a comma-separated integer list, got {text!r}")
+    message = f"expected a comma-separated integer list, got {text!r}"
+    return [jsonio.parse_int_text(part, message) for part in text.split(",")]
 
 
 def _emit_json(payload: dict) -> None:
@@ -167,16 +130,8 @@ def _phi_from_spec(spec: str, g: int, n: int):
 
 def _class_rows(g: int, n: int, columns: list[tuple[str, DivisorClass]]) -> list[tuple[str, ...]]:
     rows = [("term",) + tuple(name for name, _ in columns)]
-
-    def row(term: str, values) -> tuple[str, ...]:
-        return (term,) + tuple(jsonio.format_rational(v) for v in values)
-
-    rows.append(row("lambda", [c.lam for _, c in columns]))
-    for j in range(1, n + 1):
-        rows.append(row(f"psi_{j}", [c.psi_coeff(j) for _, c in columns]))
-    rows.append(row("delta_irr", [c.delta_irr for _, c in columns]))
-    for pair in admissible_pairs(g, n):
-        rows.append(row(f"delta_{pair}", [c.delta_coeff(pair) for _, c in columns]))
+    for term, *values in zip(basis_labels(g, n), *(cls.coeffs for _, cls in columns)):
+        rows.append((term,) + tuple(jsonio.format_rational(v) for v in values))
     return rows
 
 
@@ -368,7 +323,10 @@ def _random_degrees(rng: random.Random, g: int, n: int) -> list[int]:
 
 
 def _cmd_check(args) -> int:
-    seed = int(os.environ.get("JACWALL_SEED", "0"))
+    if (args.g is None) != (args.n is None):
+        raise MalformedInput("--g and --n must be given together")
+    seed_text = os.environ.get("JACWALL_SEED", "0")
+    seed = jsonio.parse_int_text(seed_text, f"JACWALL_SEED must be an integer, got {seed_text!r}")
     rng = random.Random(seed)
     gn_list = [(args.g, args.n)] if args.g is not None else [(1, 2), (2, 1), (2, 2)]
     trials = args.trials
@@ -497,23 +455,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check" and (args.g is None) != (args.n is None):
-        print("error: --g and --n must be given together", file=sys.stderr)
-        return EXIT_MALFORMED
     try:
         return args.func(args)
-    except DegenerateParameter as exc:
+    except JacwallError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except _GRAPH_SHAPE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRAPH_SHAPE
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except _MALFORMED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        return exc.exit_code
 
 
 if __name__ == "__main__":

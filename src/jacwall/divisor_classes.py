@@ -14,6 +14,7 @@ telescope against the wall-crossing steps.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -33,11 +34,29 @@ def binom2(m: int) -> int:
     return m * (m - 1) // 2
 
 
+@lru_cache(maxsize=None)
+def _delta_index(g: int, n: int) -> dict[BoundaryPair, int]:
+    """Position of each delta_(i,S) in the coefficient tuple of a class over (g, n)."""
+    return {pair: n + 2 + k for k, pair in enumerate(admissible_pairs(g, n))}
+
+
+@lru_cache(maxsize=None)
+def basis_labels(g: int, n: int) -> tuple[str, ...]:
+    """Term names of the basis in coefficient order: lambda, psi_j, delta_irr, delta_(i,S)."""
+    return (
+        "lambda",
+        *(f"psi_{j}" for j in range(1, n + 1)),
+        "delta_irr",
+        *(f"delta_{pair}" for pair in admissible_pairs(g, n)),
+    )
+
+
 class DivisorClass:
     """A rational coefficient vector over {lambda, psi_1..psi_n, delta_irr, delta_(i,S)}.
 
-    Zero coefficients are dropped on construction, so equality is
-    coefficientwise.  Instances are immutable; arithmetic returns new values.
+    ``coeffs`` holds every coefficient, zeros included, in the order of
+    ``basis_labels(g, n)``, so equality is coefficientwise.  Instances are
+    immutable; arithmetic returns new values.
     """
 
     def __init__(
@@ -50,99 +69,100 @@ class DivisorClass:
         delta: Mapping[BoundaryPair, Fraction] | None = None,
     ):
         check_gn(g, n)
-        self.g = g
-        self.n = n
-        self.lam = _as_fraction(lam)
-        self.delta_irr = _as_fraction(delta_irr)
-
-        psi_coeffs = {}
+        index = _delta_index(g, n)
+        coeffs = [Fraction(0)] * (n + 2 + len(index))
+        coeffs[0] = _as_fraction(lam)
         for j, c in (psi or {}).items():
             if not isinstance(j, int) or not 1 <= j <= n:
                 raise BasisMismatch(f"psi index must lie in 1..{n}, got {j!r}")
-            c = _as_fraction(c)
-            if c != 0:
-                psi_coeffs[j] = c
-
-        valid = set(admissible_pairs(g, n))
-        delta_coeffs = {}
+            coeffs[j] = _as_fraction(c)
+        coeffs[n + 1] = _as_fraction(delta_irr)
         for pair, c in (delta or {}).items():
-            if pair not in valid:
+            k = index.get(pair)
+            if k is None:
                 raise BasisMismatch(f"delta index {pair} is not admissible for (g,n)=({g},{n})")
-            c = _as_fraction(c)
-            if c != 0:
-                delta_coeffs[pair] = c
+            coeffs[k] = _as_fraction(c)
+        self.g = g
+        self.n = n
+        self.coeffs = tuple(coeffs)
 
-        self._psi = psi_coeffs
-        self._delta = delta_coeffs
+    @classmethod
+    def _of(cls, g: int, n: int, coeffs: tuple[Fraction, ...]) -> "DivisorClass":
+        """A class from an already complete coefficient tuple."""
+        out = cls.__new__(cls)
+        out.g, out.n, out.coeffs = g, n, coeffs
+        return out
+
+    @property
+    def lam(self) -> Fraction:
+        return self.coeffs[0]
+
+    @property
+    def delta_irr(self) -> Fraction:
+        return self.coeffs[self.n + 1]
 
     @property
     def psi(self) -> Mapping[int, Fraction]:
-        return MappingProxyType(self._psi)
+        """The nonzero psi coefficients."""
+        return MappingProxyType({j: c for j, c in enumerate(self.coeffs[1 : self.n + 1], 1) if c})
 
     @property
     def delta(self) -> Mapping[BoundaryPair, Fraction]:
-        return MappingProxyType(self._delta)
+        """The nonzero delta_(i,S) coefficients, in canonical pair order."""
+        pairs = admissible_pairs(self.g, self.n)
+        return MappingProxyType({p: c for p, c in zip(pairs, self.coeffs[self.n + 2 :]) if c})
 
     def psi_coeff(self, j: int) -> Fraction:
-        if not 1 <= j <= self.n:
+        if not isinstance(j, int) or not 1 <= j <= self.n:
             raise BasisMismatch(f"psi index must lie in 1..{self.n}, got {j!r}")
-        return self._psi.get(j, Fraction(0))
+        return self.coeffs[j]
 
     def delta_coeff(self, pair: BoundaryPair) -> Fraction:
-        return self._delta.get(pair, Fraction(0))
+        k = _delta_index(self.g, self.n).get(pair)
+        return Fraction(0) if k is None else self.coeffs[k]
 
     @property
     def is_zero(self) -> bool:
-        return self.lam == 0 and self.delta_irr == 0 and not self._psi and not self._delta
-
-    def _key(self):
-        return (
-            self.g,
-            self.n,
-            self.lam,
-            tuple(sorted(self._psi.items())),
-            self.delta_irr,
-            tuple(sorted(self._delta.items(), key=lambda kv: kv[0].sort_key)),
-        )
+        return not any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        return self._key() == other._key()
+        return (self.g, self.n, self.coeffs) == (other.g, other.n, other.coeffs)
+
+    def _check_same_space(self, other: "DivisorClass") -> None:
+        if (self.g, self.n) != (other.g, other.n):
+            raise BasisMismatch(
+                f"classes live over different spaces:"
+                f" (g,n)=({self.g},{self.n}) vs ({other.g},{other.n})"
+            )
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return class_algebra(self, 1, other, 1)
+        self._check_same_space(other)
+        return DivisorClass._of(
+            self.g, self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        )
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return class_algebra(self, 1, other, -1)
+        self._check_same_space(other)
+        return DivisorClass._of(
+            self.g, self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+        )
 
     def __neg__(self) -> "DivisorClass":
         return self.scaled(-1)
 
     def scaled(self, c) -> "DivisorClass":
         c = _as_fraction(c)
-        return DivisorClass(
-            self.g,
-            self.n,
-            lam=c * self.lam,
-            psi={j: c * v for j, v in self._psi.items()},
-            delta_irr=c * self.delta_irr,
-            delta={p: c * v for p, v in self._delta.items()},
-        )
+        return DivisorClass._of(self.g, self.n, tuple(c * v for v in self.coeffs))
 
     def __rmul__(self, c) -> "DivisorClass":
         return self.scaled(c)
 
     def __repr__(self) -> str:
-        terms = []
-        if self.lam:
-            terms.append(f"{self.lam}*lambda")
-        for j in sorted(self._psi):
-            terms.append(f"{self._psi[j]}*psi_{j}")
-        if self.delta_irr:
-            terms.append(f"{self.delta_irr}*delta_irr")
-        for pair in sorted(self._delta, key=lambda p: p.sort_key):
-            terms.append(f"{self._delta[pair]}*delta_{pair}")
+        terms = [
+            f"{c}*{label}" for label, c in zip(basis_labels(self.g, self.n), self.coeffs) if c
+        ]
         return "DivisorClass({})".format(" + ".join(terms) if terms else "0")
 
 
@@ -152,24 +172,7 @@ def zero_class(g: int, n: int) -> DivisorClass:
 
 def class_algebra(a: DivisorClass, ca, b: DivisorClass, cb) -> DivisorClass:
     """The linear combination ca*a + cb*b, coefficientwise."""
-    if (a.g, a.n) != (b.g, b.n):
-        raise BasisMismatch(
-            f"classes live over different spaces: (g,n)=({a.g},{a.n}) vs ({b.g},{b.n})"
-        )
-    ca = _as_fraction(ca)
-    cb = _as_fraction(cb)
-    psi = {j: ca * a.psi_coeff(j) + cb * b.psi_coeff(j) for j in set(a.psi) | set(b.psi)}
-    delta = {
-        p: ca * a.delta_coeff(p) + cb * b.delta_coeff(p) for p in set(a.delta) | set(b.delta)
-    }
-    return DivisorClass(
-        a.g,
-        a.n,
-        lam=ca * a.lam + cb * b.lam,
-        psi=psi,
-        delta_irr=ca * a.delta_irr + cb * b.delta_irr,
-        delta=delta,
-    )
+    return a.scaled(ca) + b.scaled(cb)
 
 
 # -- the five class formulas ---------------------------------------------------
@@ -204,8 +207,8 @@ def wall_crossing(phi1: StabilityParameter, phi2: StabilityParameter) -> Divisor
     """Difference of theta classes between two off-wall parameters.
 
     Computed in closed form, sum of [C(d2-i+1, 2) - C(d1-i+1, 2)] delta_(i,S)
-    over the labels of the two parameters, and cross-checked against the
-    composition of unit wall crossings.
+    over the labels of the two parameters.  This equals the composition of the
+    unit wall crossings between them (telescoping in d).
     """
     if (phi1.g, phi1.n) != (phi2.g, phi2.n):
         raise BasisMismatch(
@@ -213,22 +216,11 @@ def wall_crossing(phi1: StabilityParameter, phi2: StabilityParameter) -> Divisor
         )
     label1 = polytope_label(phi1)
     label2 = polytope_label(phi2)
-    g, n = phi1.g, phi1.n
-
-    delta = {}
-    for pair in label1.pairs:
-        delta[pair] = binom2(label2.d(pair) - pair.i + 1) - binom2(label1.d(pair) - pair.i + 1)
-    closed = DivisorClass(g, n, delta=delta)
-
-    stepped = zero_class(g, n)
-    for pair in label1.pairs:
-        d1, d2 = label1.d(pair), label2.d(pair)
-        for d in range(d1 + 1, d2 + 1):
-            stepped = stepped + wall_crossing_single(g, n, pair, d)
-        for d in range(d2 + 1, d1 + 1):
-            stepped = stepped - wall_crossing_single(g, n, pair, d)
-    assert stepped == closed, "telescoped wall crossings disagree with the closed form"
-    return closed
+    delta = {
+        pair: binom2(label2.d(pair) - pair.i + 1) - binom2(label1.d(pair) - pair.i + 1)
+        for pair in label1.pairs
+    }
+    return DivisorClass(phi1.g, phi1.n, delta=delta)
 
 
 def stable_pairs_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
@@ -249,15 +241,15 @@ def stable_pairs_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
 
 def hain_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
     """The theta-function extension: the stable-pairs class plus delta_irr/8."""
-    base = stable_pairs_class(g, n, degrees)
-    return DivisorClass(
-        g,
-        n,
-        lam=base.lam,
-        psi=base.psi,
-        delta_irr=Fraction(1, 8),
-        delta=base.delta,
-    )
+    return stable_pairs_class(g, n, degrees) + DivisorClass(g, n, delta_irr=Fraction(1, 8))
+
+
+def _check_negative_degrees(g: int, n: int, degrees: Sequence[int]) -> tuple[int, ...]:
+    check_gn(g, n)
+    degrees = _check_degrees(g, n, degrees)
+    if not any(d < 0 for d in degrees):
+        raise NoNegativeDegree(f"at least one degree must be negative, got {degrees}")
+    return degrees
 
 
 def mueller_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
@@ -266,10 +258,7 @@ def mueller_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
     Pairs whose markings all carry positive degree contribute
     -C(|d_S-i|+1, 2); all others contribute -C(d_S-i+1, 2).
     """
-    check_gn(g, n)
-    degrees = _check_degrees(g, n, degrees)
-    if not any(d < 0 for d in degrees):
-        raise NoNegativeDegree(f"at least one degree must be negative, got {degrees}")
+    degrees = _check_negative_degrees(g, n, degrees)
     s_plus = {j + 1 for j, d in enumerate(degrees) if d > 0}
     psi = {j: binom2(degrees[j - 1] + 1) for j in range(1, n + 1)}
     delta = {}
@@ -291,9 +280,7 @@ def mueller_comparison(
     d_S < i; the difference class sum_(T) (i - d_S) delta_(i,S) satisfies
     stable_pairs = mueller + diff.
     """
-    check_gn(g, n)
-    degrees = _check_degrees(g, n, degrees)
-    mueller = mueller_class(g, n, degrees)
+    degrees = _check_negative_degrees(g, n, degrees)
     t_set = []
     delta = {}
     for pair in admissible_pairs(g, n):
@@ -301,11 +288,7 @@ def mueller_comparison(
         if all(degrees[j - 1] > 0 for j in pair.S) and d_s < pair.i:
             t_set.append(pair)
             delta[pair] = pair.i - d_s
-    diff = DivisorClass(g, n, delta=delta)
-    assert mueller + diff == stable_pairs_class(g, n, degrees), (
-        "comparison difference disagrees with the class formulas"
-    )
-    return t_set, diff
+    return t_set, DivisorClass(g, n, delta=delta)
 
 
 def twist_divisor_coeffs(

@@ -9,35 +9,56 @@ from __future__ import annotations
 
 
 class JacwallError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``exit_code`` is the command-line exit status of the error: 2 malformed
+    input, 3 degenerate parameter, 4 graph shape violation, 5 formula
+    precondition violation, and the generic failure status 1 otherwise.
+    """
+
+    exit_code = 1
 
 
 class MalformedInput(JacwallError):
     """Unparseable or schema-violating external input (JSON, CLI flags)."""
 
+    exit_code = 2
+
 
 class InvalidGraph(JacwallError):
     """A marked graph violating connectedness, stability, or basic typing."""
+
+    exit_code = 4
 
 
 class InvalidGN(JacwallError):
     """A (genus, markings) pair outside the supported range."""
 
+    exit_code = 2
+
 
 class InvalidParameter(JacwallError):
     """A stability parameter or polytope label with the wrong coordinate domain."""
+
+    exit_code = 2
 
 
 class LoopEdge(JacwallError):
     """An operation that requires a non-loop edge was given a loop."""
 
+    exit_code = 4
+
 
 class NotTreeLike(JacwallError):
     """An operation restricted to loop-free circuit rank 0 was given a graph of positive rank."""
 
+    exit_code = 4
+
 
 class InadmissiblePair(JacwallError):
     """A pair (i, S) that does not index a boundary divisor for the given (g, n)."""
+
+    exit_code = 5
 
 
 class DegenerateParameter(JacwallError):
@@ -48,6 +69,8 @@ class DegenerateParameter(JacwallError):
     adjacent chambers have labels d and d + 1 at that pair.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, pair=None, d=None):
         super().__init__(message)
         self.pair = pair
@@ -57,26 +80,40 @@ class DegenerateParameter(JacwallError):
 class DegreeSumMismatch(JacwallError):
     """A degree vector whose total is not g - 1 (or of the wrong length)."""
 
+    exit_code = 5
+
 
 class NonAmple(JacwallError):
     """A polarization vector with a nonpositive entry."""
+
+    exit_code = 5
 
 
 class GraphMismatch(JacwallError):
     """Operands defined over different graphs, or over a graph with the wrong genus or markings."""
 
+    exit_code = 4
+
 
 class EmptySubset(JacwallError):
     """A vertex subset that must be nonempty was empty."""
+
+    exit_code = 5
 
 
 class EmptyOrFullSubset(JacwallError):
     """A vertex subset that must be proper and nonempty was empty or everything."""
 
+    exit_code = 5
+
 
 class NoNegativeDegree(JacwallError):
     """A degree vector without a negative entry, where one is required."""
 
+    exit_code = 5
+
 
 class BasisMismatch(JacwallError):
     """Divisor classes (or coefficient maps) over different (g, n), or a coefficient on a non-basis element."""
+
+    exit_code = 5

@@ -14,11 +14,12 @@ from typing import Mapping
 
 from .divisor_classes import DivisorClass
 from .errors import JacwallError, MalformedInput
-from .graphs import BoundaryPair, MarkedGraph, admissible_pairs, normalize_pair
+from .graphs import BoundaryPair, MarkedGraph, normalize_pair
 from .multidegrees import Multidegree, TorsionFreeDegree
 from .stability import PolytopeLabel, StabilityParameter
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$", re.ASCII)
+_INT_TEXT_RE = re.compile(r"\s*-?[0-9]+\s*")
 
 
 def parse_rational(value) -> Fraction:
@@ -41,6 +42,17 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def parse_int_text(text, message: str) -> int:
+    """Read an integer written as ASCII digits with an optional '-' and surrounding whitespace.
+
+    Raises MalformedInput(message) on anything else, including the spellings
+    that int() also takes: '1_0', '+1' and non-ASCII digits.
+    """
+    if not isinstance(text, str) or not _INT_TEXT_RE.fullmatch(text):
+        raise MalformedInput(message)
+    return int(text)
 
 
 def parse_int(value) -> int:
@@ -73,6 +85,8 @@ def graph_from_json(obj) -> MarkedGraph:
         vid = entry.get("id")
         if not isinstance(vid, str):
             raise MalformedInput(f"vertex id must be a string, got {vid!r}")
+        if vid in genera:
+            raise MalformedInput(f"vertex id {vid!r} is given twice")
         genera[vid] = parse_int(entry.get("genus"))
     edges = []
     for entry in _expect_list(obj.get("edges", []), "graph.edges"):
@@ -82,10 +96,9 @@ def graph_from_json(obj) -> MarkedGraph:
         edges.append((entry[0], entry[1]))
     markings = {}
     for key, vid in _expect_object(obj.get("markings"), "graph.markings").items():
-        try:
-            j = int(key)
-        except (TypeError, ValueError):
-            raise MalformedInput(f"marking keys must be integers, got {key!r}")
+        j = parse_int_text(key, f"marking keys must be integers, got {key!r}")
+        if j in markings:
+            raise MalformedInput(f"marking {j} is given twice")
         markings[j] = vid
     try:
         return MarkedGraph(genera, edges, markings)
@@ -125,6 +138,14 @@ def _gn_from_json(obj) -> tuple[int, int]:
     return parse_int(obj.get("g")), parse_int(obj.get("n"))
 
 
+def _new_pair(entry, g: int, n: int, seen) -> BoundaryPair:
+    """The pair of a coordinate entry, rejected if it (or its complement spelling) is in seen."""
+    pair = pair_from_json(entry, g, n)
+    if pair in seen:
+        raise MalformedInput(f"pair {pair} is given twice")
+    return pair
+
+
 def parameter_from_json(obj) -> StabilityParameter:
     """Decode {"g", "n", "coords": [{"i", "S", "phi_plus"}]}."""
     obj = _expect_object(obj, "parameter")
@@ -132,7 +153,7 @@ def parameter_from_json(obj) -> StabilityParameter:
     coords = {}
     for entry in _expect_list(obj.get("coords"), "parameter.coords"):
         entry = _expect_object(entry, "coordinate")
-        pair = pair_from_json(entry, g, n)
+        pair = _new_pair(entry, g, n, coords)
         coords[pair] = parse_rational(entry.get("phi_plus"))
     try:
         return StabilityParameter(g, n, coords)
@@ -158,7 +179,7 @@ def label_from_json(obj) -> PolytopeLabel:
     label = {}
     for entry in _expect_list(obj.get("label"), "label.label"):
         entry = _expect_object(entry, "label entry")
-        pair = pair_from_json(entry, g, n)
+        pair = _new_pair(entry, g, n, label)
         label[pair] = parse_int(entry.get("d"))
     try:
         return PolytopeLabel(g, n, label)
@@ -227,10 +248,9 @@ def class_from_json(obj) -> DivisorClass:
     g, n = _gn_from_json(obj)
     psi = {}
     for key, c in _expect_object(obj.get("psi", {}), "class.psi").items():
-        try:
-            j = int(key)
-        except (TypeError, ValueError):
-            raise MalformedInput(f"psi keys must be integers, got {key!r}")
+        j = parse_int_text(key, f"psi keys must be integers, got {key!r}")
+        if j in psi:
+            raise MalformedInput(f"psi_{j} is given twice")
         psi[j] = parse_rational(c)
     delta = {}
     for entry in _expect_list(obj.get("delta", []), "class.delta"):
@@ -251,16 +271,11 @@ def class_from_json(obj) -> DivisorClass:
 
 
 def class_to_json(cls: DivisorClass) -> dict:
-    delta = [
-        {**pair_to_json(pair), "c": format_rational(cls.delta_coeff(pair))}
-        for pair in admissible_pairs(cls.g, cls.n)
-        if cls.delta_coeff(pair) != 0
-    ]
     return {
         "g": cls.g,
         "n": cls.n,
         "lambda": format_rational(cls.lam),
-        "psi": {str(j): format_rational(cls.psi_coeff(j)) for j in sorted(cls.psi)},
+        "psi": {str(j): format_rational(c) for j, c in cls.psi.items()},
         "delta_irr": format_rational(cls.delta_irr),
-        "delta": delta,
+        "delta": [{**pair_to_json(pair), "c": format_rational(c)} for pair, c in cls.delta.items()],
     }

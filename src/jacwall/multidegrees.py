@@ -22,6 +22,7 @@ from .errors import (
     EmptySubset,
     GraphMismatch,
     InvalidGraph,
+    MalformedInput,
     NotTreeLike,
 )
 from .graphs import (
@@ -197,7 +198,7 @@ def is_semistable(pG: GraphParameter, F: Sheaf, strict: bool = False, mode: str 
     elif mode == "all":
         subsets = _all_proper_subsets(pG.graph)
     else:
-        raise ValueError(f"mode must be 'elementary' or 'all', got {mode!r}")
+        raise MalformedInput(f"mode must be 'elementary' or 'all', got {mode!r}")
     return all(stability_inequality(pG, F, subset, strict) for subset in subsets)
 
 

@@ -66,6 +66,20 @@ def tally(name, cases, budget=None, elapsed=None):
     print(f"ACCEPTANCE {name}: PASS ({cases} cases{timing})")
 
 
+def stepped_crossing(phi1, phi2):
+    """The composition of unit wall crossings from phi1 to phi2, one step at a time."""
+    g, n = phi1.g, phi1.n
+    stepped = zero_class(g, n)
+    lab1, lab2 = polytope_label(phi1), polytope_label(phi2)
+    for pair in lab1.pairs:
+        d1, d2 = lab1.d(pair), lab2.d(pair)
+        for d in range(d1 + 1, d2 + 1):
+            stepped = stepped + wall_crossing_single(g, n, pair, d)
+        for d in range(d2 + 1, d1 + 1):
+            stepped = stepped - wall_crossing_single(g, n, pair, d)
+    return stepped
+
+
 def test_c1_wall_crossing_pullback_consistency():
     started = time.monotonic()
     rng = random.Random(101)
@@ -75,17 +89,7 @@ def test_c1_wall_crossing_pullback_consistency():
             phi1 = random_parameter(rng, g, n)
             phi2 = random_parameter(rng, g, n)
             crossing = wall_crossing(phi1, phi2)
-
-            stepped = zero_class(g, n)
-            lab1, lab2 = polytope_label(phi1), polytope_label(phi2)
-            for pair in lab1.pairs:
-                d1, d2 = lab1.d(pair), lab2.d(pair)
-                step = 1 if d2 >= d1 else -1
-                for d in range(d1 + 1, d2 + 1):
-                    stepped = stepped + wall_crossing_single(g, n, pair, d)
-                for d in range(d2 + 1, d1 + 1):
-                    stepped = stepped - wall_crossing_single(g, n, pair, d)
-            assert stepped == crossing
+            assert stepped_crossing(phi1, phi2) == crossing
 
             for _ in range(5):
                 degrees = random_degrees(rng, g, n)
@@ -94,6 +98,25 @@ def test_c1_wall_crossing_pullback_consistency():
     elapsed = time.monotonic() - started
     assert elapsed < 10.0
     tally("1 wall-crossing/pullback consistency", cases, 10.0, elapsed)
+
+
+@pytest.mark.parametrize("g, n", [(4, 5), (5, 7)])
+def test_c1_c2_identities_at_ladder_sizes(g, n):
+    rng = random.Random(1000 * g + n)
+    phi1 = random_parameter(rng, g, n)
+    phi2 = random_parameter(rng, g, n)
+    crossing = wall_crossing(phi1, phi2)
+    assert not crossing.is_zero
+    assert stepped_crossing(phi1, phi2) == crossing
+    checked = 0
+    while checked < 3:
+        degrees = random_degrees(rng, g, n)
+        if not any(d < 0 for d in degrees):
+            continue
+        assert theta_pullback(phi2, degrees) - theta_pullback(phi1, degrees) == crossing
+        _, diff = mueller_comparison(g, n, degrees)
+        assert mueller_class(g, n, degrees) + diff == stable_pairs_class(g, n, degrees)
+        checked += 1
 
 
 def test_c2_section5_identity_suite():

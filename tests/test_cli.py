@@ -1,7 +1,10 @@
+import inspect
 import json
 
 import pytest
 
+import jacwall.cli as cli
+from jacwall import errors
 from jacwall.cli import main
 
 PATH_GRAPH = {
@@ -238,6 +241,80 @@ def test_compare_json_deterministic(capsys):
         "mueller + diff = stable-pairs": True,
     }
     assert payload["T"] == [{"i": 2, "S": [1]}, {"i": 3, "S": [1]}]
+
+
+# -- error mapping and strict input ------------------------------------------------------
+
+EXIT_CODES = {
+    "MalformedInput": 2,
+    "InvalidGN": 2,
+    "InvalidParameter": 2,
+    "DegenerateParameter": 3,
+    "NotTreeLike": 4,
+    "LoopEdge": 4,
+    "InvalidGraph": 4,
+    "GraphMismatch": 4,
+    "DegreeSumMismatch": 5,
+    "NoNegativeDegree": 5,
+    "InadmissiblePair": 5,
+    "NonAmple": 5,
+    "EmptySubset": 5,
+    "EmptyOrFullSubset": 5,
+    "BasisMismatch": 5,
+}
+ERROR_CLASSES = [
+    cls
+    for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.JacwallError) and cls is not errors.JacwallError
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_exit_code(cls):
+    assert cls.exit_code == EXIT_CODES[cls.__name__]
+
+
+def test_main_maps_any_error_to_its_exit_code(monkeypatch, capsys):
+    for cls in ERROR_CLASSES:
+        def boom(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "_cmd_polytope", boom)
+        assert main(["polytope", "--g", "2", "--n", "2", "--from-degrees", "1,0"]) == cls.exit_code
+        assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_from_degrees_rejects_underscore(capsys):
+    assert main(["polytope", "--g", "2", "--n", "2", "--from-degrees=1_0,-9", "--json"]) == 2
+    assert "integer list" in capsys.readouterr().err
+
+
+def test_graph_marking_key_with_underscore_exits_2(tmp_path, capsys):
+    lax = dict(PATH_GRAPH, markings={"0_1": "v1", "2": "v3"})
+    graph = write(tmp_path, "lax.json", lax)
+    assert main(["stable-degree", "--graph", graph, "--from-degrees", "1,1", "--json"]) == 2
+    assert "marking keys must be integers" in capsys.readouterr().err
+
+
+def test_repeated_vertex_id_is_named(tmp_path, capsys):
+    dup = dict(PATH_GRAPH, vertices=PATH_GRAPH["vertices"] + [{"id": "v1", "genus": 0}])
+    graph = write(tmp_path, "dup.json", dup)
+    assert main(["stable-degree", "--graph", graph, "--from-degrees", "1,1"]) == 2
+    assert "vertex id 'v1' is given twice" in capsys.readouterr().err
+
+
+def test_parameter_with_complement_spelling_twice_exits_2(tmp_path, capsys):
+    twice = dict(CANONICAL_22, coords=CANONICAL_22["coords"] + [{"i": 1, "S": [2], "phi_plus": "7/3"}])
+    phi = write(tmp_path, "twice.json", twice)
+    assert main(["polytope", "--g", "2", "--n", "2", "--phi", phi, "--json"]) == 2
+    assert "given twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["abc", "1_0", ""])
+def test_check_rejects_bad_seed(seed, capsys, monkeypatch):
+    monkeypatch.setenv("JACWALL_SEED", seed)
+    assert main(["check", "--trials", "1", "--max-vertices", "2"]) == 2
+    assert capsys.readouterr().err == f"error: JACWALL_SEED must be an integer, got {seed!r}\n"
 
 
 # -- check ------------------------------------------------------------------------------

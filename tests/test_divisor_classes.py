@@ -15,6 +15,7 @@ from jacwall import (
     NoNegativeDegree,
     PolytopeLabel,
     admissible_pairs,
+    basis_labels,
     binom2,
     canonical_parameter,
     class_algebra,
@@ -95,6 +96,21 @@ def test_class_arithmetic_dunders():
     assert (a - a).is_zero
     assert (2 * a).psi_coeff(1) == 4
     assert (-a).lam == -1
+
+
+def test_class_coefficients_follow_the_basis_labels():
+    c = DivisorClass(2, 2, lam=-1, psi={2: F(3)}, delta_irr=F(1, 8), delta={pair(1, 1): F(-3)})
+    assert basis_labels(2, 2) == (
+        "lambda", "psi_1", "psi_2", "delta_irr", "delta_(0,{1,2})", "delta_(1,{1})", "delta_(1,{1,2})"
+    )
+    assert c.coeffs == (F(-1), F(0), F(3), F(1, 8), F(0), F(-3), F(0))
+    assert repr(c) == "DivisorClass(-1*lambda + 3*psi_2 + 1/8*delta_irr + -3*delta_(1,{1}))"
+    assert c.delta_coeff(pair(2, 1)) == 0  # not a basis element at (2,2)
+    with pytest.raises(BasisMismatch):
+        c + DivisorClass(2, 1)
+    with pytest.raises(BasisMismatch):
+        c - DivisorClass(3, 2)
+    assert c != DivisorClass(2, 1)
 
 
 # -- theta pullback ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from jacwall.jsonio import (
     pair_from_json,
     parameter_from_json,
     parameter_to_json,
+    parse_int_text,
     parse_rational,
 )
 
@@ -49,7 +50,7 @@ def test_parse_rational_forms():
     assert parse_rational("  2/4 ") == F(1, 2)
 
 
-@pytest.mark.parametrize("bad", ["7/0", "1/-2", "a", "1.5", 1.5, None, True, [1]])
+@pytest.mark.parametrize("bad", ["7/0", "1/-2", "a", "1.5", 1.5, None, True, [1], "\u0663"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(MalformedInput):
         parse_rational(bad)
@@ -61,6 +62,17 @@ def test_rational_round_trip(p, q):
     assert parse_rational(format_rational(value)) == value
     if value.denominator == 1:
         assert "/" not in format_rational(value)
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), ("-12", -12), (" 3 ", 3), ("007", 7)])
+def test_parse_int_text_accepts(text, value):
+    assert parse_int_text(text, "bad") == value
+
+
+@pytest.mark.parametrize("bad", ["1_0", "+1", "", "-", "1.0", "0x1", "\u0663", "1 2", 1, None])
+def test_parse_int_text_rejects_lax_spellings(bad):
+    with pytest.raises(MalformedInput, match="^bad$"):
+        parse_int_text(bad, "bad")
 
 
 # -- graphs ---------------------------------------------------------------------
@@ -87,6 +99,21 @@ def test_graph_malformed():
     bad = dict(LOOPED_GRAPH, edges=[["v1", "zz"]])
     with pytest.raises(MalformedInput):
         graph_from_json(bad)
+
+
+def test_graph_rejects_lax_marking_key():
+    lax = dict(LOOPED_GRAPH, markings={"0_1": "v1", "2": "v3"})
+    with pytest.raises(MalformedInput, match="marking keys must be integers"):
+        graph_from_json(lax)
+    twice = dict(LOOPED_GRAPH, markings={"1": "v1", "01": "v2", "2": "v3"})
+    with pytest.raises(MalformedInput, match="marking 1 is given twice"):
+        graph_from_json(twice)
+
+
+def test_graph_rejects_repeated_vertex_id():
+    dup = dict(LOOPED_GRAPH, vertices=LOOPED_GRAPH["vertices"] + [{"id": "v1", "genus": 0}])
+    with pytest.raises(MalformedInput, match="vertex id 'v1' is given twice"):
+        graph_from_json(dup)
 
 
 # -- pairs, parameters, labels ------------------------------------------------------
@@ -119,6 +146,24 @@ def test_parameter_malformed():
         parameter_from_json({"g": 2, "n": 2, "coords": []})
     with pytest.raises(MalformedInput):
         parameter_from_json({"g": 2, "n": 2, "coords": [{"i": 1, "S": [1], "phi_plus": 1.5}]})
+
+
+def test_parameter_rejects_repeated_pair():
+    # (1,{2}) is the complement spelling of (1,{1}) at (g,n) = (2,2)
+    coords = [
+        {"i": 0, "S": [1, 2], "phi_plus": "1/10"},
+        {"i": 1, "S": [1], "phi_plus": "1/3"},
+        {"i": 1, "S": [1, 2], "phi_plus": "11/10"},
+    ]
+    for repeat in ({"i": 1, "S": [1], "phi_plus": "1/3"}, {"i": 1, "S": [2], "phi_plus": "7/3"}):
+        with pytest.raises(MalformedInput, match=r"pair \(1,\{1\}\) is given twice"):
+            parameter_from_json({"g": 2, "n": 2, "coords": coords + [repeat]})
+
+
+def test_label_rejects_repeated_pair():
+    entries = [{"i": 0, "S": [1, 2], "d": 0}, {"i": 1, "S": [1], "d": 1}, {"i": 1, "S": [1, 2], "d": 1}]
+    with pytest.raises(MalformedInput, match=r"pair \(1,\{1\}\) is given twice"):
+        label_from_json({"g": 2, "n": 2, "label": entries + [{"i": 1, "S": [2], "d": 2}]})
 
 
 def test_label_round_trip():
@@ -177,3 +222,12 @@ def test_class_json_is_deterministic():
     first = json.dumps(class_to_json(cls), sort_keys=True)
     second = json.dumps(class_to_json(cls), sort_keys=True)
     assert first == second
+
+
+def test_class_rejects_lax_or_repeated_psi_keys():
+    base = {"g": 2, "n": 2, "lambda": "-1", "delta_irr": "0", "delta": []}
+    with pytest.raises(MalformedInput, match="psi keys must be integers"):
+        class_from_json(dict(base, psi={"0_1": "6"}))
+    with pytest.raises(MalformedInput, match="psi_1 is given twice"):
+        class_from_json(dict(base, psi={"1": "6", " 1": "2"}))
+    assert class_from_json(dict(base, psi={" 2 ": "3"})).psi_coeff(2) == 3

@@ -11,6 +11,7 @@ from jacwall import (
     EmptySubset,
     GraphMismatch,
     GraphParameter,
+    MalformedInput,
     MarkedGraph,
     Multidegree,
     NotTreeLike,
@@ -131,7 +132,11 @@ def test_is_semistable_rejects_mismatched_graph(tv, path111):
     md = Multidegree(path111, {"v1": 1, "v2": 1, "v3": 0})
     with pytest.raises(GraphMismatch):
         is_semistable(pG, md)
-    with pytest.raises(ValueError):
+
+
+def test_is_semistable_rejects_unknown_mode(tv):
+    pG = GraphParameter(tv, {"v1": F(1, 2), "v2": F(1, 2)})
+    with pytest.raises(MalformedInput):
         is_semistable(pG, Multidegree(tv, {"v1": 1, "v2": 0}), mode="everything")
 
 
