@@ -42,6 +42,8 @@ from .stability import (
     phi_from_degrees,
     phi_from_label,
     polytope_label,
+    random_degrees,
+    random_parameter,
 )
 
 EXIT_OK = 0
@@ -51,10 +53,19 @@ EXIT_FAIL = 1
 # -- small helpers ---------------------------------------------------------------
 
 
+def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedInput(f"JSON object key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_reject_repeated_keys)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -300,28 +311,6 @@ def _cmd_compare(args) -> int:
 # -- check: randomized self-check sweep ---------------------------------------------------
 
 
-def _random_parameter(rng: random.Random, g: int, n: int, denominator_max: int = 10):
-    from .stability import StabilityParameter
-
-    coords = {}
-    for pair in admissible_pairs(g, n):
-        while True:
-            q = rng.randint(1, denominator_max)
-            value = Fraction(rng.randint(-3 * q, 3 * q), q)
-            if (value - Fraction(1, 2)).denominator != 1:
-                coords[pair] = value
-                break
-    return StabilityParameter(g, n, coords)
-
-
-def _random_degrees(rng: random.Random, g: int, n: int) -> list[int]:
-    while True:
-        degrees = [rng.randint(-3, 4) for _ in range(n)]
-        degrees[-1] = (g - 1) - sum(degrees[:-1])
-        if -3 <= degrees[-1] <= 4:
-            return degrees
-
-
 def _cmd_check(args) -> int:
     if (args.g is None) != (args.n is None):
         raise MalformedInput("--g and --n must be given together")
@@ -341,9 +330,9 @@ def _cmd_check(args) -> int:
     cases = 0
     for g, n in gn_list:
         for _ in range(trials):
-            phi1 = _random_parameter(rng, g, n)
-            phi2 = _random_parameter(rng, g, n)
-            degrees = _random_degrees(rng, g, n)
+            phi1 = random_parameter(rng, g, n)
+            phi2 = random_parameter(rng, g, n)
+            degrees = random_degrees(rng, g, n)
             lhs = theta_pullback(phi2, degrees) - theta_pullback(phi1, degrees)
             ok = ok and lhs == wall_crossing(phi1, phi2)
             cases += 1
@@ -353,7 +342,7 @@ def _cmd_check(args) -> int:
     cases = 0
     for g, n in gn_list:
         for _ in range(trials):
-            degrees = _random_degrees(rng, g, n)
+            degrees = random_degrees(rng, g, n)
             pairs_class = stable_pairs_class(g, n, degrees)
             ok = ok and hain_class(g, n, degrees) - pairs_class == DivisorClass(
                 g, n, delta_irr=Fraction(1, 8)
@@ -372,7 +361,7 @@ def _cmd_check(args) -> int:
         corpus = enumerate_tree_type_graphs(g, n, args.max_vertices)
         sample = corpus if len(corpus) <= 25 else rng.sample(corpus, 25)
         for G in sample:
-            phi = _random_parameter(rng, g, n)
+            phi = random_parameter(rng, g, n)
             pG = extend_to_graph(phi, G)
             strict = all_stable_multidegrees_bruteforce(pG, strict=True)
             ok = ok and strict == [stable_multidegree(pG)]

@@ -13,9 +13,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
+    GraphMismatch,
     InadmissiblePair,
     InvalidGN,
     InvalidGraph,
@@ -200,21 +201,7 @@ class MarkedGraph:
     # -- validation ---------------------------------------------------------
 
     def _check_connected(self) -> None:
-        verts = set(self._genus_of)
-        adjacency: dict[str, set[str]] = {v: set() for v in verts}
-        for a, b in self.edges:
-            if a != b:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        start = next(iter(verts))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != verts:
+        if not _induced_connected(self, frozenset(self._genus_of)):
             raise InvalidGraph("graph is not connected")
 
     def _check_stable(self) -> None:
@@ -317,21 +304,71 @@ def contract(G: MarkedGraph, edge_indices: Iterable[int]) -> tuple[MarkedGraph, 
 # -- boundary combinatorics ----------------------------------------------------
 
 
-def _component(G: MarkedGraph, start: str, skip_index: int) -> frozenset[str]:
-    """Vertices reachable from start along non-loop edges, ignoring one edge index."""
-    seen = {start}
-    stack = [start]
-    adjacency: dict[str, list[str]] = {v: [] for v in G.vertices}
-    for i, (a, b) in enumerate(G.edges):
-        if i != skip_index and a != b:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
+class RootedTree(NamedTuple):
+    """The spanning tree of a rank-0 graph, walked once from its root (see `rooted_tree`).
+
+    ``order`` is a preorder taking children in edge order, so the subtree of
+    ``order[k]`` is the slice ``order[k:k + size[order[k]]]``.  ``parent``
+    maps every other vertex to the index of its parent edge and its parent
+    vertex.  ``genus`` totals vertex genera plus loops over each subtree and
+    ``marks`` its markings, as a bitmask with bit j - 1 for marking j.
+    """
+
+    order: tuple[str, ...]
+    parent: Mapping[str, tuple[int, str]]
+    size: Mapping[str, int]
+    genus: Mapping[str, int]
+    marks: Mapping[str, int]
+
+    def subtree(self, v: str) -> frozenset[str]:
+        k = self.order.index(v)
+        return frozenset(self.order[k : k + self.size[v]])
+
+    def cut(self, v: str) -> tuple[BoundaryPair, bool]:
+        """Pair (i, S) of the marking-1 side of v's parent edge, and whether it is v's subtree."""
+        root = self.order[0]
+        i, mask = self.genus[v], self.marks[v]
+        below = bool(mask & 1)
+        if not below:
+            i, mask = self.genus[root] - i, self.marks[root] ^ mask
+        S = frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+        return BoundaryPair(i, S), below
+
+
+def rooted_tree(G: MarkedGraph, root: str) -> RootedTree:
+    """One depth-first walk over the spanning tree of a rank-0 graph, in O(V + E)."""
+    rank = loop_free_circuit_rank(G)
+    if rank != 0:
+        raise NotTreeLike(f"the graph has loop-free circuit rank {rank}, not 0")
+    if root not in G.genus_of:
+        raise GraphMismatch(f"root {root!r} is not a vertex of the graph")
+    adjacency: dict[str, list[tuple[int, str]]] = {v: [] for v in G.vertices}
+    for i in reversed(G.nonloop_indices):  # so the stack pops children in edge order
+        a, b = G.edges[i]
+        adjacency[a].append((i, b))
+        adjacency[b].append((i, a))
+    parent: dict[str, tuple[int, str]] = {}
+    order = []
+    stack = [root]
     while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
+        v = stack.pop()
+        order.append(v)
+        for i, w in adjacency[v]:
+            if w != root and w not in parent:
+                parent[w] = (i, v)
                 stack.append(w)
-    return frozenset(seen)
+
+    size = dict.fromkeys(order, 1)
+    genus_below = {v: G.genus_of[v] + G.loops_at[v] for v in order}
+    marks = dict.fromkeys(order, 0)
+    for j, v in G.marking_of.items():
+        marks[v] |= 1 << (j - 1)
+    for v in reversed(order[1:]):
+        p = parent[v][1]
+        size[p] += size[v]
+        genus_below[p] += genus_below[v]
+        marks[p] |= marks[v]
+    return RootedTree(tuple(order), parent, size, genus_below, marks)
 
 
 def boundary_pair_of_edge(G: MarkedGraph, edge_index: int) -> tuple[BoundaryPair, frozenset[str]]:
@@ -341,18 +378,15 @@ def boundary_pair_of_edge(G: MarkedGraph, edge_index: int) -> tuple[BoundaryPair
     the arithmetic genus (vertex genera plus loops) and markings of the side
     containing marking 1, which is also returned.
     """
-    if loop_free_circuit_rank(G) != 0:
-        raise NotTreeLike("boundary pairs are only defined for loop-free circuit rank 0")
+    tree = rooted_tree(G, G.marking_of[1])
     a, b = G.edges[edge_index]
     if a == b:
         raise LoopEdge(f"edge {edge_index} is a loop at {a}")
-    side = _component(G, G.marking_of[1], edge_index)
-    i = sum(G.genus_of[v] + G.loops_at[v] for v in side)
-    S = frozenset(j for j, v in G.marking_of.items() if v in side)
-    pair = BoundaryPair(i, S)
+    child = max((a, b), key=tree.order.index)  # a parent precedes its child in preorder
+    pair, _ = tree.cut(child)
     if not pair.is_admissible(genus(G), G.n):
         raise InvalidGraph(f"edge {edge_index} cuts out inadmissible pair {pair}")
-    return pair, side
+    return pair, frozenset(G.vertices) - tree.subtree(child)
 
 
 def two_vertex_graph(g: int, n: int, pair: BoundaryPair) -> MarkedGraph:
@@ -428,10 +462,11 @@ def elementary_subgraphs(G: MarkedGraph) -> list[frozenset[str]]:
     """Elementary subgraphs of G, using the two-sides-of-an-edge fast path at rank 0."""
     if loop_free_circuit_rank(G) != 0:
         return elementary_subgraphs_bruteforce(G)
+    tree = rooted_tree(G, G.vertices[0])
     all_verts = frozenset(G.vertices)
     found = []
-    for i in G.nonloop_indices:
-        side = _component(G, G.edges[i][0], i)
+    for v in tree.order[1:]:
+        side = tree.subtree(v)
         found.append(side)
         found.append(all_verts - side)
     found.sort(key=_subset_key)

@@ -15,7 +15,7 @@ from typing import Mapping
 from .divisor_classes import DivisorClass
 from .errors import JacwallError, MalformedInput
 from .graphs import BoundaryPair, MarkedGraph, normalize_pair
-from .multidegrees import Multidegree, TorsionFreeDegree
+from .multidegrees import TorsionFreeDegree
 from .stability import PolytopeLabel, StabilityParameter
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$", re.ASCII)
@@ -198,7 +198,7 @@ def label_to_json(label: PolytopeLabel) -> dict:
 # -- multidegrees ----------------------------------------------------------------------
 
 
-def multidegree_from_json(G: MarkedGraph, obj) -> Multidegree | TorsionFreeDegree:
+def multidegree_from_json(G: MarkedGraph, obj) -> TorsionFreeDegree:
     """Decode {"deg": {vertex: int}, "failures": [[a, b], ...]} against a known graph.
 
     Failure entries name edges by their endpoints; repeated entries consume
@@ -208,14 +208,8 @@ def multidegree_from_json(G: MarkedGraph, obj) -> Multidegree | TorsionFreeDegre
     deg = {}
     for v, d in _expect_object(obj.get("deg"), "multidegree.deg").items():
         deg[v] = parse_int(d)
-    failure_entries = _expect_list(obj.get("failures", []), "multidegree.failures")
-    if not failure_entries:
-        try:
-            return Multidegree(G, deg)
-        except JacwallError as exc:
-            raise MalformedInput(f"invalid multidegree: {exc}") from exc
     used: set[int] = set()
-    for entry in failure_entries:
+    for entry in _expect_list(obj.get("failures", []), "multidegree.failures"):
         entry = _expect_list(entry, "failure")
         if len(entry) != 2 or not all(isinstance(v, str) for v in entry):
             raise MalformedInput(f"failures must be pairs of vertex ids, got {entry!r}")
@@ -232,7 +226,7 @@ def multidegree_from_json(G: MarkedGraph, obj) -> Multidegree | TorsionFreeDegre
         raise MalformedInput(f"invalid multidegree: {exc}") from exc
 
 
-def multidegree_to_json(F: Multidegree | TorsionFreeDegree) -> dict:
+def multidegree_to_json(F: TorsionFreeDegree) -> dict:
     out = {"deg": {v: F.norm_deg[v] for v in F.graph.vertices}}
     if F.failures:
         out["failures"] = [list(F.graph.edges[i]) for i in sorted(F.failures)]
@@ -255,8 +249,8 @@ def class_from_json(obj) -> DivisorClass:
     delta = {}
     for entry in _expect_list(obj.get("delta", []), "class.delta"):
         entry = _expect_object(entry, "delta entry")
-        pair = pair_from_json(entry, g, n)
-        delta[pair] = delta.get(pair, Fraction(0)) + parse_rational(entry.get("c"))
+        pair = _new_pair(entry, g, n, delta)
+        delta[pair] = parse_rational(entry.get("c"))
     try:
         return DivisorClass(
             g,

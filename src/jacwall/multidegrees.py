@@ -1,11 +1,11 @@
 """Multidegrees of degree g-1 sheaves and their stability against a vertex parameter.
 
-A line bundle is recorded by its per-vertex degrees; a rank-1 torsion-free
-sheaf additionally records the set of nodes (edges) where it fails to be
-locally free, with its degrees read on the partial normalization.  Stability
-is the system of partial-degree lower bounds against the parameter; testing
-only elementary subgraphs is equivalent to testing all subgraphs, and both
-routes are implemented.
+A rank-1 torsion-free sheaf is recorded by the set of nodes (edges) where it
+fails to be locally free and its degrees on the partial normalization there;
+a line bundle is the sheaf with no such nodes.  Stability is the system of
+partial-degree lower bounds against the parameter; testing only elementary
+subgraphs is equivalent to testing all subgraphs, and both routes are
+implemented.
 """
 
 from __future__ import annotations
@@ -23,72 +23,23 @@ from .errors import (
     GraphMismatch,
     InvalidGraph,
     MalformedInput,
-    NotTreeLike,
 )
 from .graphs import (
     MarkedGraph,
-    boundary_pair_of_edge,
     crossing_edge_indices,
     elementary_subgraphs,
     genus,
-    loop_free_circuit_rank,
+    rooted_tree,
 )
-from .stability import HALF, GraphParameter, _tree_structure
-
-
-class Multidegree:
-    """Per-vertex degrees of a line bundle of total degree g - 1."""
-
-    def __init__(self, graph: MarkedGraph, deg: Mapping[str, int]):
-        values = dict(deg)
-        if set(values) != set(graph.vertices):
-            raise GraphMismatch("degrees must be defined on exactly the vertices of the graph")
-        for v, d in values.items():
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise DegreeSumMismatch(f"degrees must be integers, got {d!r} at {v}")
-        target = genus(graph) - 1
-        if sum(values.values()) != target:
-            raise DegreeSumMismatch(
-                f"total degree must be g-1 = {target}, got {sum(values.values())}"
-            )
-        self.graph = graph
-        self._deg = values
-
-    @property
-    def deg(self) -> Mapping[str, int]:
-        return MappingProxyType(self._deg)
-
-    # Line bundles are the torsion-free sheaves with no failures; sharing
-    # these accessors lets every stability routine accept either type.
-    @property
-    def norm_deg(self) -> Mapping[str, int]:
-        return MappingProxyType(self._deg)
-
-    @property
-    def failures(self) -> frozenset[int]:
-        return frozenset()
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self._deg[v] for v in self.graph.vertices)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multidegree):
-            return NotImplemented
-        return self.graph == other.graph and self._deg == other._deg
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.as_tuple()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v}:{self._deg[v]}" for v in self.graph.vertices)
-        return f"Multidegree({{{inner}}})"
+from .stability import HALF, GraphParameter
 
 
 class TorsionFreeDegree:
     """A rank-1 torsion-free sheaf of total degree g - 1, by normalization degrees and failure nodes.
 
     ``failures`` is a set of edge indices; the sum of the normalization
-    degrees plus the failure count must equal g - 1.
+    degrees plus the failure count must equal g - 1.  A line bundle is the
+    sheaf with no failures, and ``deg`` is then its multidegree.
     """
 
     def __init__(self, graph: MarkedGraph, norm_deg: Mapping[str, int], failures: Iterable[int] = ()):
@@ -116,6 +67,11 @@ class TorsionFreeDegree:
     def norm_deg(self) -> Mapping[str, int]:
         return MappingProxyType(self._norm_deg)
 
+    deg = norm_deg
+
+    def as_tuple(self) -> tuple[int, ...]:
+        return tuple(self._norm_deg[v] for v in self.graph.vertices)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorsionFreeDegree):
             return NotImplemented
@@ -125,15 +81,18 @@ class TorsionFreeDegree:
             and self.failures == other.failures
         )
 
+    def __hash__(self) -> int:
+        return hash((self.graph, self.as_tuple(), self.failures))
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}:{self._norm_deg[v]}" for v in self.graph.vertices)
         return f"TorsionFreeDegree({{{inner}}}, failures={sorted(self.failures)})"
 
 
-Sheaf = Multidegree | TorsionFreeDegree
+Multidegree = TorsionFreeDegree
 
 
-def partial_degree(F: Sheaf, subset: Iterable[str]) -> int:
+def partial_degree(F: TorsionFreeDegree, subset: Iterable[str]) -> int:
     """Degree of the maximal torsion-free quotient on a subcurve.
 
     Sums the normalization degrees over the subset and counts the failure
@@ -151,20 +110,20 @@ def partial_degree(F: Sheaf, subset: Iterable[str]) -> int:
     return sum(F.norm_deg[v] for v in V0) + internal
 
 
-def failure_crossings(F: Sheaf, subset: frozenset[str]) -> int:
+def failure_crossings(F: TorsionFreeDegree, subset: frozenset[str]) -> int:
     """Number of failure nodes joining the subset to its complement."""
     G = F.graph
     return sum(1 for i in F.failures if (G.edges[i][0] in subset) != (G.edges[i][1] in subset))
 
 
-def stability_inequality(pG: GraphParameter, F: Sheaf, subset: frozenset[str], strict: bool) -> bool:
+def stability_inequality(pG: GraphParameter, F: TorsionFreeDegree, subset: frozenset[str], strict: bool) -> bool:
     """The lower-bound form on one subgraph: deg_{V0}(F) >= phi(V0) - (#crossing)/2."""
     bound = pG.subset_sum(subset) - Fraction(len(crossing_edge_indices(pG.graph, subset)), 2)
     lhs = partial_degree(F, subset)
     return lhs > bound if strict else lhs >= bound
 
 
-def symmetric_inequality(pG: GraphParameter, F: Sheaf, subset: frozenset[str], strict: bool) -> bool:
+def symmetric_inequality(pG: GraphParameter, F: TorsionFreeDegree, subset: frozenset[str], strict: bool) -> bool:
     """The two-sided form on one subgraph, equivalent to the lower bound on both sides.
 
     |deg_{V0}(F) - phi(V0) + delta/2| <= (#crossing - delta)/2, where delta
@@ -184,7 +143,7 @@ def _all_proper_subsets(G: MarkedGraph):
             yield frozenset(combo)
 
 
-def is_semistable(pG: GraphParameter, F: Sheaf, strict: bool = False, mode: str = "elementary") -> bool:
+def is_semistable(pG: GraphParameter, F: TorsionFreeDegree, strict: bool = False, mode: str = "elementary") -> bool:
     """Whether the sheaf satisfies the stability bound on every subgraph of the chosen mode.
 
     mode="elementary" checks only subgraphs with connected complement on both
@@ -211,43 +170,32 @@ def stable_multidegree(pG: GraphParameter) -> Multidegree:
     is half-odd (the parameter sits on the corresponding wall).
     """
     G = pG.graph
-    if loop_free_circuit_rank(G) != 0:
-        raise NotTreeLike("unique stable multidegrees require loop-free circuit rank 0")
-    root = G.vertices[0]
-    total = genus(G) - 1
-    if len(G.vertices) == 1:
-        return Multidegree(G, {root: total})
+    tree = rooted_tree(G, G.vertices[0])
+    subtree_sum = {v: pG.value(v) for v in tree.order}
+    for v in reversed(tree.order[1:]):
+        subtree_sum[tree.parent[v][1]] += subtree_sum[v]
 
-    parent, order = _tree_structure(G, root)
-    children: dict[str, list[str]] = {v: [] for v in G.vertices}
-    for v in order[1:]:
-        children[parent[v][1]].append(v)
-
-    subtree_sum: dict[str, Fraction] = {}
-    for v in reversed(order):
-        acc = pG.value(v)
-        for c in children[v]:
-            acc += subtree_sum[c]
-        subtree_sum[v] = acc
-
-    rounded: dict[str, int] = {root: total}
-    for v in order[1:]:
+    walls = [v for v in tree.order[1:] if (subtree_sum[v] - HALF).denominator == 1]
+    if walls:
+        # Name the first wall in breadth-first order: the shallowest, then first in preorder.
+        depth = {tree.order[0]: 0}
+        for v in tree.order[1:]:
+            depth[v] = depth[tree.parent[v][1]] + 1
+        v = min(walls, key=depth.__getitem__)
         s = subtree_sum[v]
-        if (s - HALF).denominator == 1:
-            edge_index, _ = parent[v]
-            pair, one_side = boundary_pair_of_edge(G, edge_index)
-            phi_plus = s if root not in one_side else genus(G) - 1 - s
-            d = int(phi_plus - HALF)
-            raise DegenerateParameter(
-                f"subtree sum {s} is half-odd: parameter lies on wall H({pair}, d={d})",
-                pair=pair,
-                d=d,
-            )
-        rounded[v] = math.floor(s + HALF)
+        pair, below = tree.cut(v)
+        phi_plus = s if below else genus(G) - 1 - s
+        d = int(phi_plus - HALF)
+        raise DegenerateParameter(
+            f"subtree sum {s} is half-odd: parameter lies on wall H({pair}, d={d})",
+            pair=pair,
+            d=d,
+        )
 
-    deg = {}
-    for v in G.vertices:
-        deg[v] = rounded[v] - sum(rounded[c] for c in children[v])
+    rounded = {v: math.floor(s + HALF) for v, s in subtree_sum.items()}
+    deg = dict(rounded)
+    for v in tree.order[1:]:
+        deg[tree.parent[v][1]] -= rounded[v]
     return Multidegree(G, deg)
 
 

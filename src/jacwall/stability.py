@@ -11,6 +11,7 @@ but every polytope-dependent operation rejects them with the wall named.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -23,18 +24,16 @@ from .errors import (
     InadmissiblePair,
     InvalidParameter,
     NonAmple,
-    NotTreeLike,
 )
 from .graphs import (
     BoundaryPair,
     MarkedGraph,
     admissible_pairs,
-    boundary_pair_of_edge,
     check_gn,
     contract,
     crossing_edge_indices,
     genus,
-    loop_free_circuit_rank,
+    rooted_tree,
 )
 
 HALF = Fraction(1, 2)
@@ -300,27 +299,34 @@ def phi_from_slope(
     return GraphParameter(G, values)
 
 
+# -- seeded samplers ---------------------------------------------------------------
+
+
+def random_parameter(
+    rng: random.Random, g: int, n: int, denominator_max: int = 10
+) -> StabilityParameter:
+    """A nondegenerate parameter with coordinates p/q in [-3, 3], q <= denominator_max."""
+    coords = {}
+    for pair in admissible_pairs(g, n):
+        while True:
+            q = rng.randint(1, denominator_max)
+            value = Fraction(rng.randint(-3 * q, 3 * q), q)
+            if _wall_hit(value) is None:
+                coords[pair] = value
+                break
+    return StabilityParameter(g, n, coords)
+
+
+def random_degrees(rng: random.Random, g: int, n: int, lo: int = -3, hi: int = 4) -> tuple[int, ...]:
+    """A degree vector with entries in [lo, hi] summing to g - 1."""
+    while True:
+        degrees = [rng.randint(lo, hi) for _ in range(n)]
+        degrees[-1] = (g - 1) - sum(degrees[:-1])
+        if lo <= degrees[-1] <= hi:
+            return tuple(degrees)
+
+
 # -- extension to graphs ---------------------------------------------------------
-
-
-def _tree_structure(G: MarkedGraph, root: str):
-    """Parent pointers and reverse-BFS order of the spanning tree of a rank-0 graph."""
-    adjacency: dict[str, list[tuple[int, str]]] = {v: [] for v in G.vertices}
-    for i in G.nonloop_indices:
-        a, b = G.edges[i]
-        adjacency[a].append((i, b))
-        adjacency[b].append((i, a))
-    parent: dict[str, tuple[int, str] | None] = {root: None}
-    order = [root]
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for i, w in adjacency[v]:
-            if w not in parent:
-                parent[w] = (i, v)
-                order.append(w)
-                queue.append(w)
-    return parent, order
 
 
 def extend_to_graph(
@@ -333,33 +339,18 @@ def extend_to_graph(
     out; vertex values are recovered as subtree-sum differences.  The result
     does not depend on the chosen root.
     """
-    if loop_free_circuit_rank(G) != 0:
-        raise NotTreeLike("parameters only extend to graphs of loop-free circuit rank 0")
+    tree = rooted_tree(G, G.vertices[0] if root is None else root)
     if genus(G) != phi.g or G.n != phi.n:
         raise GraphMismatch(
             f"graph has (g,n)=({genus(G)},{G.n}) but parameter has ({phi.g},{phi.n})"
         )
-    if root is None:
-        root = G.vertices[0]
-    elif root not in G.genus_of:
-        raise GraphMismatch(f"root {root!r} is not a vertex of the graph")
-
-    total = Fraction(phi.g - 1)
-    if len(G.vertices) == 1:
-        return GraphParameter(G, {root: total})
-
-    parent, order = _tree_structure(G, root)
-    subtree = {root: total}
-    for v in order[1:]:
-        edge_index, _ = parent[v]
-        pair, one_side = boundary_pair_of_edge(G, edge_index)
-        # The descendant side of the parent edge is the side not containing the root.
-        subtree[v] = phi.phi_plus(pair) if root not in one_side else phi.phi_minus(pair)
-
+    subtree = {tree.order[0]: Fraction(phi.g - 1)}
+    for v in tree.order[1:]:
+        pair, below = tree.cut(v)
+        subtree[v] = phi.phi_plus(pair) if below else phi.phi_minus(pair)
     values = dict(subtree)
-    for v in order[1:]:
-        _, p = parent[v]
-        values[p] -= subtree[v]
+    for v in tree.order[1:]:
+        values[tree.parent[v][1]] -= subtree[v]
     return GraphParameter(G, values)
 
 

@@ -310,6 +310,18 @@ def test_parameter_with_complement_spelling_twice_exits_2(tmp_path, capsys):
     assert "given twice" in capsys.readouterr().err
 
 
+def test_repeated_json_key_exits_2(tmp_path, capsys):
+    # json.load alone keeps the last value, which would put marking 2 on v1 and exit 0
+    graph = tmp_path / "dupkey.json"
+    graph.write_text(
+        '{"vertices": [{"id": "v1", "genus": 1}, {"id": "v2", "genus": 1}],'
+        ' "edges": [["v1", "v2"]], "markings": {"1": "v1", "2": "v2", "2": "v1"}}',
+        encoding="utf-8",
+    )
+    assert main(["stable-degree", "--graph", str(graph), "--from-degrees", "1,0"]) == 2
+    assert "key '2' is given twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", ["abc", "1_0", ""])
 def test_check_rejects_bad_seed(seed, capsys, monkeypatch):
     monkeypatch.setenv("JACWALL_SEED", seed)

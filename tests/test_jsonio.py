@@ -231,3 +231,12 @@ def test_class_rejects_lax_or_repeated_psi_keys():
     with pytest.raises(MalformedInput, match="psi_1 is given twice"):
         class_from_json(dict(base, psi={"1": "6", " 1": "2"}))
     assert class_from_json(dict(base, psi={" 2 ": "3"})).psi_coeff(2) == 3
+
+
+def test_class_rejects_repeated_delta_pair():
+    # (1,{2}) is the complement spelling of (1,{1}) at (g,n) = (2,2); adding the two up is wrong
+    base = {"g": 2, "n": 2, "lambda": "0", "psi": {}, "delta_irr": "0"}
+    for repeat in ({"i": 1, "S": [1], "c": "1/2"}, {"i": 1, "S": [2], "c": "1/2"}):
+        delta = [{"i": 1, "S": [1], "c": "1/2"}, repeat]
+        with pytest.raises(MalformedInput, match=r"pair \(1,\{1\}\) is given twice"):
+            class_from_json(dict(base, delta=delta))

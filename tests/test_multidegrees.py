@@ -65,6 +65,15 @@ def test_multidegree_validates_total(tv):
         Multidegree(tv, {"v1": 1})
 
 
+def test_line_bundle_is_the_sheaf_without_failures(tv):
+    md = Multidegree(tv, {"v1": 1, "v2": 0})
+    assert Multidegree is TorsionFreeDegree
+    assert md == TorsionFreeDegree(tv, {"v1": 1, "v2": 0}, [])
+    assert md.failures == frozenset() and dict(md.deg) == dict(md.norm_deg) == {"v1": 1, "v2": 0}
+    assert md.as_tuple() == (1, 0) and len({md, Multidegree(tv, {"v1": 1, "v2": 0})}) == 1
+    assert md != TorsionFreeDegree(tv, {"v1": 0, "v2": 0}, [0])
+
+
 def test_torsion_free_validates_total(tv):
     TorsionFreeDegree(tv, {"v1": 0, "v2": 0}, [0])
     with pytest.raises(DegreeSumMismatch):
@@ -234,7 +243,41 @@ def test_stable_multidegree_errors(tv):
     can = GraphParameter(tv, {"v1": F(1, 2), "v2": F(1, 2)})
     with pytest.raises(DegenerateParameter) as err:
         stable_multidegree(can)
-    assert err.value.pair == pair(1, 1) and err.value.d in (0, 1)
+    assert err.value.pair == pair(1, 1) and err.value.d == 0
+
+
+@pytest.mark.parametrize(
+    "markings, wall",
+    [
+        ({1: "v1", 2: "v2"}, (pair(1, 1), 2)),  # marking 1 on the root side: phi+ = 2 - (-1/2)
+        ({1: "v2", 2: "v1"}, (pair(2, 1), -1)),  # marking 1 below the edge: phi+ = -1/2
+    ],
+)
+def test_stable_multidegree_names_the_wall(markings, wall):
+    # the solver roots at v1, so v2's subtree sum -1/2 is the half-odd one
+    G = MarkedGraph({"v1": 1, "v2": 2}, [("v1", "v2")], markings)
+    with pytest.raises(DegenerateParameter) as err:
+        stable_multidegree(GraphParameter(G, {"v1": F(5, 2), "v2": F(-1, 2)}))
+    assert (err.value.pair, err.value.d) == wall
+
+
+@pytest.mark.parametrize(
+    "v1, v2, wall",
+    [
+        (F(27, 10), F(3, 10), (pair(3, 1, 2), 3)),  # v3 is first in preorder, v4 shallower
+        (F(3), F(0), (pair(2, 1), 2)),  # v2 and v4 are equally deep; v2's edge comes first
+    ],
+)
+def test_stable_multidegree_names_the_first_wall_breadth_first(v1, v2, wall):
+    G = MarkedGraph(
+        {v: 1 for v in ("v1", "v2", "v3", "v4")},
+        [("v1", "v2"), ("v2", "v3"), ("v1", "v4")],
+        {1: "v1", 2: "v3"},
+    )
+    pG = GraphParameter(G, {"v1": v1, "v2": v2, "v3": F(1, 2), "v4": F(-1, 2)})
+    with pytest.raises(DegenerateParameter) as err:
+        stable_multidegree(pG)
+    assert (err.value.pair, err.value.d) == wall
 
 
 def test_bruteforce_matches_inline_oracle(corpus3):

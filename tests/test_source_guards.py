@@ -1,0 +1,16 @@
+"""Guards over the library source itself."""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "jacwall").glob("*.py"))
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so library invariants must raise a JacwallError
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert SOURCES, "no library sources found"
+    assert found == []

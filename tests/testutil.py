@@ -1,4 +1,4 @@
-"""Seeded random generators shared by the unit and acceptance tests."""
+"""Seeded random generators and reference walks shared by the unit and acceptance tests."""
 
 from __future__ import annotations
 
@@ -6,29 +6,16 @@ import random
 from fractions import Fraction
 
 from jacwall import (
+    BoundaryPair,
     MarkedGraph,
     StabilityParameter,
     TorsionFreeDegree,
     admissible_pairs,
     genus,
 )
+from jacwall.stability import random_degrees, random_parameter  # noqa: F401  (re-exported)
 
 GN_SET = ((1, 2), (2, 1), (2, 2), (3, 2), (3, 3))
-
-
-def random_parameter(
-    rng: random.Random, g: int, n: int, denominator_max: int = 10
-) -> StabilityParameter:
-    """A nondegenerate parameter with coordinates in [-3, 3] and bounded denominators."""
-    coords = {}
-    for pair in admissible_pairs(g, n):
-        while True:
-            q = rng.randint(1, denominator_max)
-            value = Fraction(rng.randint(-3 * q, 3 * q), q)
-            if (value - Fraction(1, 2)).denominator != 1:
-                coords[pair] = value
-                break
-    return StabilityParameter(g, n, coords)
 
 
 def random_degenerate_direction(rng: random.Random, g: int, n: int) -> StabilityParameter:
@@ -38,15 +25,6 @@ def random_degenerate_direction(rng: random.Random, g: int, n: int) -> Stability
     on_wall = pairs[rng.randrange(len(pairs))]
     coords[on_wall] = rng.randint(-2, 2) + Fraction(1, 2)
     return StabilityParameter(g, n, coords)
-
-
-def random_degrees(rng: random.Random, g: int, n: int, lo: int = -3, hi: int = 4) -> tuple[int, ...]:
-    """A degree vector with entries in [lo, hi] summing to g - 1."""
-    while True:
-        degrees = [rng.randint(lo, hi) for _ in range(n)]
-        degrees[-1] = (g - 1) - sum(degrees[:-1])
-        if lo <= degrees[-1] <= hi:
-            return tuple(degrees)
 
 
 def all_degree_vectors(g: int, n: int, lo: int = -3, hi: int = 4):
@@ -78,3 +56,62 @@ def random_edge_subsets(rng: random.Random, edge_count: int, samples: int) -> li
     for _ in range(samples):
         subsets.append(rng.sample(pool, rng.randint(1, edge_count)))
     return subsets
+
+
+# -- large rank-0 graphs and a reference for their edge cuts ----------------------
+
+TREE_SHAPES = ("path", "caterpillar", "recursive")
+
+
+def random_tree_graph(rng: random.Random, shape: str, k: int) -> MarkedGraph:
+    """A rank-0 graph on k vertices: a path, a caterpillar or a random recursive tree.
+
+    Genera are 0 or 1, a vertex carries a loop with probability 0.3, markings
+    1..n (n <= 3) sit on random vertices, and every genus-0 vertex that would
+    be unstable gets one more loop.
+    """
+    ids = [f"v{v:03d}" for v in range(k)]
+    if shape == "path":
+        tree = [(v, v + 1) for v in range(k - 1)]
+    elif shape == "caterpillar":
+        spine = (k + 1) // 2
+        tree = [(v, v + 1) for v in range(spine - 1)]
+        tree += [(rng.randrange(spine), v) for v in range(spine, k)]
+    else:
+        tree = [(rng.randrange(v), v) for v in range(1, k)]
+    edges = [(ids[a], ids[b]) for a, b in tree]
+    markings = {j: ids[rng.randrange(k)] for j in range(1, rng.randint(1, 3) + 1)}
+    genera = {v: rng.randint(0, 1) for v in ids}
+    special = {v: 0 for v in ids}
+    for v in [a for edge in edges for a in edge] + list(markings.values()):
+        special[v] += 1
+    for v in ids:
+        loops = 1 if rng.random() < 0.3 else 0
+        if genera[v] == 0 and special[v] + 2 * loops < 3:
+            loops += 1
+        edges += [(v, v)] * loops
+    return MarkedGraph(genera, edges, markings)
+
+
+def reference_side(G: MarkedGraph, edge_index: int) -> frozenset[str]:
+    """The side of a non-loop edge holding marking 1: drop the edge and search from that marking."""
+    adjacency: dict[str, list[str]] = {v: [] for v in G.vertices}
+    for i, (a, b) in enumerate(G.edges):
+        if i != edge_index and a != b:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+    start = G.marking_of[1]
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
+def reference_pair(G: MarkedGraph, side: frozenset[str]) -> BoundaryPair:
+    """The pair (i, S) of a vertex side: genera plus loops, and the markings on it."""
+    i = sum(G.genus_of[v] + G.loops_at[v] for v in side)
+    return BoundaryPair(i, frozenset(j for j, v in G.marking_of.items() if v in side))
