@@ -102,14 +102,16 @@ def _add_phi_source(parser: argparse.ArgumentParser, required: bool) -> None:
     )
 
 
+def _parameter_file(path: str, g: int, n: int):
+    phi = jsonio.parameter_from_json(_load_json(path))
+    if (phi.g, phi.n) != (g, n):
+        raise MalformedInput(f"parameter file has (g,n)=({phi.g},{phi.n}), expected ({g},{n})")
+    return phi
+
+
 def _resolve_phi(args, g: int, n: int):
     if args.phi:
-        phi = jsonio.parameter_from_json(_load_json(args.phi))
-        if (phi.g, phi.n) != (g, n):
-            raise MalformedInput(
-                f"parameter file has (g,n)=({phi.g},{phi.n}), expected ({g},{n})"
-            )
-        return phi
+        return _parameter_file(args.phi, g, n)
     if args.from_degrees:
         return phi_from_degrees(g, n, _parse_int_list(args.from_degrees))
     label = jsonio.label_from_json(_load_json(args.from_label))
@@ -132,11 +134,7 @@ def _phi_from_spec(spec: str, g: int, n: int):
         return phi_from_label(PolytopeLabel(g, n, dict(zip(pairs, values))))
     if spec == "canonical":
         return canonical_parameter(g, n)
-    path = spec[len("file:") :] if spec.startswith("file:") else spec
-    phi = jsonio.parameter_from_json(_load_json(path))
-    if (phi.g, phi.n) != (g, n):
-        raise MalformedInput(f"parameter file has (g,n)=({phi.g},{phi.n}), expected ({g},{n})")
-    return phi
+    return _parameter_file(spec.removeprefix("file:"), g, n)
 
 
 def _class_rows(g: int, n: int, columns: list[tuple[str, DivisorClass]]) -> list[tuple[str, ...]]:

@@ -34,13 +34,13 @@ def binom2(m: int) -> int:
     return m * (m - 1) // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _delta_index(g: int, n: int) -> dict[BoundaryPair, int]:
     """Position of each delta_(i,S) in the coefficient tuple of a class over (g, n)."""
     return {pair: n + 2 + k for k, pair in enumerate(admissible_pairs(g, n))}
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def basis_labels(g: int, n: int) -> tuple[str, ...]:
     """Term names of the basis in coefficient order: lambda, psi_j, delta_irr, delta_(i,S)."""
     return (

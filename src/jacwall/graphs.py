@@ -8,7 +8,6 @@ operations are safe to call concurrently.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -124,7 +123,10 @@ class MarkedGraph:
 
         edge_list: list[Edge] = []
         for e in edges:
-            a, b = e
+            try:
+                a, b = e
+            except (TypeError, ValueError):
+                raise InvalidGraph(f"an edge needs exactly two endpoints, got {e!r}") from None
             if a not in genus_of or b not in genus_of:
                 raise InvalidGraph(f"edge ({a!r},{b!r}) has an unknown endpoint")
             edge_list.append((a, b) if a <= b else (b, a))
@@ -398,7 +400,7 @@ def two_vertex_graph(g: int, n: int, pair: BoundaryPair) -> MarkedGraph:
     return MarkedGraph({"v1": pair.i, "v2": g - pair.i}, [("v1", "v2")], markings)
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def admissible_pairs(g: int, n: int) -> tuple[BoundaryPair, ...]:
     """All admissible pairs (i, S) in canonical order (by i, then S as a bitmask)."""
     check_gn(g, n)
@@ -481,36 +483,36 @@ def crossing_edge_indices(G: MarkedGraph, subset: frozenset[str]) -> tuple[int, 
 # -- corpus generator ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _tree_code(k: int, edges: Iterable[tuple[int, int]], labels: Sequence) -> tuple:
+    """The smallest Aho-Hopcroft-Ullman code of a vertex-labelled tree on 0..k-1 over all roots.
+
+    Rooted at r the code is (labels[r], sorted codes of r's subtrees), so two
+    trees get the same code exactly when a label-preserving isomorphism maps
+    one onto the other.
+    """
+    adjacency: list[list[int]] = [[] for _ in range(k)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+
+    def code(v: int, parent: int) -> tuple:
+        return (labels[v], tuple(sorted(code(w, v) for w in adjacency[v] if w != parent)))
+
+    return min(code(r, -1) for r in range(k))
+
+
 def _tree_shapes(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Trees on vertices 0..k-1 up to isomorphism, as sorted edge tuples."""
-    if k == 1:
-        return ((),)
-    if k == 2:
-        return (((0, 1),),)
-    perms = list(itertools.permutations(range(k)))
-    shapes = {}
-    for seq in itertools.product(range(k), repeat=k - 2):
-        # Pruefer decoding
-        degree = [1] * k
-        for x in seq:
-            degree[x] += 1
-        edges = []
-        leaves = sorted(v for v in range(k) if degree[v] == 1)
-        for x in seq:
-            leaf = leaves.pop(0)
-            edges.append((min(leaf, x), max(leaf, x)))
-            degree[leaf] -= 1
-            degree[x] -= 1
-            if degree[x] == 1:
-                bisect.insort(leaves, x)
-        u, v = [w for w in range(k) if degree[w] == 1]
-        edges.append((min(u, v), max(u, v)))
-        canon = min(
-            tuple(sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in edges)) for p in perms
-        )
-        shapes.setdefault(canon, tuple(sorted(edges)))
-    return tuple(shapes[key] for key in sorted(shapes))
+    """Trees on vertices 0..k-1 up to isomorphism, as (parent, child) edge tuples.
+
+    Walks the recursive trees, where each vertex v > 0 hangs from some u < v,
+    and keeps the first one of each shape; numbering the vertices of any tree
+    in breadth-first order makes it recursive, so every shape is met.
+    """
+    shapes: dict[tuple, tuple[tuple[int, int], ...]] = {}
+    for parents in itertools.product(*(range(v) for v in range(1, k))):
+        edges = tuple(zip(parents, range(1, k)))
+        shapes.setdefault(_tree_code(k, edges, [0] * k), edges)
+    return tuple(shapes.values())
 
 
 def _compositions(total: int, parts: int):
@@ -531,42 +533,32 @@ def enumerate_tree_type_graphs(g: int, n: int, max_vertices: int) -> list[Marked
     enumeration cost grows quickly with ``max_vertices``.
     """
     check_gn(g, n)
-    if not isinstance(max_vertices, int) or max_vertices < 1:
+    if isinstance(max_vertices, bool) or not isinstance(max_vertices, int) or max_vertices < 1:
         raise InvalidGN(f"max_vertices must be a positive integer, got {max_vertices!r}")
 
     out: list[MarkedGraph] = []
     for k in range(1, max_vertices + 1):
-        perms = list(itertools.permutations(range(k)))
         seen: set[tuple] = set()
         for tree_edges in _tree_shapes(k):
-            tree_valence = [0] * k
-            for a, b in tree_edges:
-                tree_valence[a] += 1
-                tree_valence[b] += 1
+            tree_valence = [sum(v in edge for edge in tree_edges) for v in range(k)]
             for split in _compositions(g, 2 * k):
                 genera, loops = split[:k], split[k:]
                 for marks in itertools.product(range(k), repeat=n):
-                    mark_count = [0] * k
-                    for m in marks:
-                        mark_count[m] += 1
+                    marked: list[list[int]] = [[] for _ in range(k)]
+                    for j, m in enumerate(marks):
+                        marked[m].append(j)
                     if any(
                         genera[v] == 0
-                        and tree_valence[v] + 2 * loops[v] + mark_count[v] < 3
+                        and tree_valence[v] + 2 * loops[v] + len(marked[v]) < 3
                         for v in range(k)
                     ):
                         continue
-                    all_edges = list(tree_edges) + [(v, v) for v in range(k) for _ in range(loops[v])]
-                    key = min(
-                        (
-                            tuple(sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in all_edges)),
-                            tuple(genera[q] for q in _inverse(p, k)),
-                            tuple(p[m] for m in marks),
-                        )
-                        for p in perms
-                    )
+                    labels = [(genera[v], loops[v], tuple(marked[v])) for v in range(k)]
+                    key = _tree_code(k, tree_edges, labels)
                     if key in seen:
                         continue
                     seen.add(key)
+                    all_edges = list(tree_edges) + [(v, v) for v in range(k) for _ in range(loops[v])]
                     ids = [f"v{v + 1}" for v in range(k)]
                     out.append(
                         MarkedGraph(
@@ -576,10 +568,3 @@ def enumerate_tree_type_graphs(g: int, n: int, max_vertices: int) -> list[Marked
                         )
                     )
     return out
-
-
-def _inverse(perm: tuple[int, ...], k: int) -> tuple[int, ...]:
-    inv = [0] * k
-    for old, new in enumerate(perm):
-        inv[new] = old
-    return tuple(inv)

@@ -322,6 +322,16 @@ def test_repeated_json_key_exits_2(tmp_path, capsys):
     assert "key '2' is given twice" in capsys.readouterr().err
 
 
+def test_parameter_file_for_other_gn_exits_2(tmp_path, capsys):
+    phi = write(tmp_path, "phi32.json", PHI_32)
+    expected = "parameter file has (g,n)=(3,2), expected (2,2)"
+    assert main(["polytope", "--g", "2", "--n", "2", "--phi", phi]) == 2
+    assert expected in capsys.readouterr().err
+    for spec in (phi, "file:" + phi):
+        assert main(["wall-cross", "--g", "2", "--n", "2", "--phi1", spec, "--phi2", "label:0,1,1"]) == 2
+        assert expected in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", ["abc", "1_0", ""])
 def test_check_rejects_bad_seed(seed, capsys, monkeypatch):
     monkeypatch.setenv("JACWALL_SEED", seed)

@@ -25,6 +25,8 @@ from jacwall import (
     normalize_pair,
     two_vertex_graph,
 )
+from jacwall.graphs import _tree_code, _tree_shapes
+from testutil import permutation_key
 
 
 def pair(i, *marks):
@@ -58,6 +60,12 @@ def test_rejects_bad_markings():
         MarkedGraph({"a": 1}, [], {2: "a"})
     with pytest.raises(InvalidGraph):
         MarkedGraph({"a": 1}, [], {})
+
+
+@pytest.mark.parametrize("edge", [("a",), ("a", "a", "a"), 7])
+def test_rejects_edge_without_two_endpoints(edge):
+    with pytest.raises(InvalidGraph, match="exactly two endpoints"):
+        MarkedGraph({"a": 1}, [edge], {1: "a"})
 
 
 def test_loop_counts_twice_for_stability():
@@ -337,6 +345,11 @@ def test_enumerate_rejects_bad_input():
         enumerate_tree_type_graphs(0, 1, 2)
 
 
+def test_enumerate_rejects_bool_max_vertices():
+    with pytest.raises(InvalidGN):
+        enumerate_tree_type_graphs(1, 2, True)
+
+
 def test_enumerate_covers_expected_two_vertex_types():
     corpus = enumerate_tree_type_graphs(2, 2, 2)
     two_vertex = [G for G in corpus if len(G.vertices) == 2 and len(G.edges) == 1]
@@ -348,3 +361,58 @@ def test_enumerate_covers_expected_two_vertex_types():
     assert ((1, 0), (1, 2)) in types
     assert ((1, 1), (1, 1)) in types
     assert ((0, 2), (2, 0)) in types
+
+
+def _is_tree_on(k, edges):
+    reached = {0}
+    for _ in range(k):
+        reached |= {b for a, b in edges if a in reached} | {a for a, b in edges if b in reached}
+    return len(edges) == k - 1 and all(0 <= v < k for e in edges for v in e) and len(reached) == k
+
+
+def test_tree_shapes_are_the_unlabelled_trees():
+    # OEIS A000055: the number of trees on k unlabelled vertices
+    for k, count in zip(range(1, 8), (1, 1, 1, 2, 3, 6, 11)):
+        shapes = _tree_shapes(k)
+        assert len(shapes) == count
+        assert all(_is_tree_on(k, edges) for edges in shapes)
+
+
+def test_tree_code_is_invariant_under_renumbering():
+    rng = random.Random(5)
+    for _ in range(50):
+        k = rng.randint(1, 8)
+        edges = [(rng.randrange(v), v) for v in range(1, k)]
+        labels = [rng.randint(0, 1) for _ in range(k)]
+        p = list(range(k))
+        rng.shuffle(p)
+        moved = [None] * k
+        for v in range(k):
+            moved[p[v]] = labels[v]
+        assert _tree_code(k, [(p[a], p[b]) for a, b in edges], moved) == _tree_code(k, edges, labels)
+
+
+def test_tree_code_separates_labellings():
+    path = [(0, 1), (1, 2)]
+    assert _tree_code(3, path, [1, 0, 0]) != _tree_code(3, path, [0, 1, 0])
+    assert _tree_code(3, path, [1, 0, 0]) == _tree_code(3, path, [0, 0, 1])
+
+
+# vertex count -> graphs, from perfbench/corpus_counts.json (an enumeration apart from the program)
+CORPUS_COUNTS = {
+    (2, 2, 4): {1: 3, 2: 11, 3: 15, 4: 7},
+    (1, 4, 4): {1: 2, 2: 22, 3: 50, 4: 30},
+    (3, 2, 5): {1: 4, 2: 28, 3: 80, 4: 118, 5: 88},
+    (2, 3, 5): {1: 3, 2: 28, 3: 76, 4: 84, 5: 33},
+}
+
+
+@pytest.mark.parametrize("gnk", sorted(CORPUS_COUNTS))
+def test_corpus_counts_and_no_isomorphic_pair(gnk):
+    corpus = enumerate_tree_type_graphs(*gnk)
+    counts = {}
+    for G in corpus:
+        counts[len(G.vertices)] = counts.get(len(G.vertices), 0) + 1
+    assert counts == CORPUS_COUNTS[gnk]
+    keys = [permutation_key(G) for G in corpus]
+    assert len(set(keys)) == len(keys)

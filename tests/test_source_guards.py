@@ -14,3 +14,15 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert SOURCES, "no library sources found"
     assert found == []
+
+
+def test_library_caches_are_bounded():
+    # an unbounded cache keyed by (g, n) grows with every (g, n) a long-running process meets
+    found = [
+        f"{path.name}:{lineno}"
+        for path in SOURCES
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "maxsize=None" in line
+    ]
+    assert SOURCES, "no library sources found"
+    assert found == []

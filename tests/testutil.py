@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -29,8 +30,6 @@ def random_degenerate_direction(rng: random.Random, g: int, n: int) -> Stability
 
 def all_degree_vectors(g: int, n: int, lo: int = -3, hi: int = 4):
     """Every degree vector with entries in [lo, hi] summing to g - 1."""
-    import itertools
-
     for head in itertools.product(range(lo, hi + 1), repeat=n - 1):
         last = (g - 1) - sum(head)
         if lo <= last <= hi:
@@ -115,3 +114,26 @@ def reference_pair(G: MarkedGraph, side: frozenset[str]) -> BoundaryPair:
     """The pair (i, S) of a vertex side: genera plus loops, and the markings on it."""
     i = sum(G.genus_of[v] + G.loops_at[v] for v in side)
     return BoundaryPair(i, frozenset(j for j, v in G.marking_of.items() if v in side))
+
+
+def permutation_key(G: MarkedGraph) -> tuple:
+    """Isomorphism key of a marked graph: the minimum over all vertex renumberings.
+
+    For each permutation p of the vertex indices it takes the sorted edges,
+    the genera in new vertex order and the vertex of each marking; this costs
+    k! and serves as the reference for the corpus generator's tree codes.
+    """
+    index = {v: i for i, v in enumerate(G.vertices)}
+    edges = [(index[a], index[b]) for a, b in G.edges]
+    marks = [index[G.marking_of[j]] for j in range(1, G.n + 1)]
+    keys = []
+    for p in itertools.permutations(range(len(index))):
+        genera = [0] * len(index)
+        for v, i in index.items():
+            genera[p[i]] = G.genus_of[v]
+        keys.append((
+            tuple(sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in edges)),
+            tuple(genera),
+            tuple(p[m] for m in marks),
+        ))
+    return min(keys)
