@@ -22,6 +22,7 @@ from .divisor_classes import (
     basis_labels,
     binom2,
     class_algebra,
+    class_identities,
     hain_class,
     mueller_class,
     mueller_comparison,

@@ -17,16 +17,13 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .divisor_classes import (
     DivisorClass,
     basis_labels,
-    hain_class,
-    mueller_class,
-    mueller_comparison,
-    stable_pairs_class,
+    class_identities,
+    compare_classes,
     theta_pullback,
     wall_crossing,
 )
@@ -160,7 +157,7 @@ def _cmd_polytope(args) -> int:
         _emit_json(payload)
         return EXIT_OK
     print(f"stability polytope (g={args.g}, n={args.n})")
-    rows = [("pair", "d")] + [(str(pair), str(label.d(pair))) for pair in label.pairs]
+    rows = [("pair", "d")] + [(str(pair), str(d)) for pair, d in zip(label.pairs, label.values)]
     print(_table(rows))
     print(f"nondegenerate: true")
     print(f"theta-flat: {str(flat).lower()}")
@@ -246,64 +243,29 @@ def _cmd_compare(args) -> int:
         raise NoNegativeDegree(
             f"the Mueller class needs a negative degree, got {degrees}"
         )
-    phi_d = phi_from_degrees(g, n, degrees)
-    pullback_d = theta_pullback(phi_d, degrees)
-    pairs_class = stable_pairs_class(g, n, degrees)
-    hain = hain_class(g, n, degrees)
-
-    flat_phi = phi_from_label(
-        PolytopeLabel(g, n, {pair: pair.i for pair in admissible_pairs(g, n)})
-    )
-    flat_pullback = theta_pullback(flat_phi, degrees)
-
-    has_negative = any(d < 0 for d in degrees)
-    mueller = t_set = diff = None
-    if has_negative:
-        mueller = mueller_class(g, n, degrees)
-        t_set, diff = mueller_comparison(g, n, degrees)
-
-    identities = [
-        (
-            "pullback(phi_dvec) has no boundary terms",
-            pullback_d.delta_irr == 0 and not pullback_d.delta,
-        ),
-        ("pullback(flat phi) = stable-pairs", flat_pullback == pairs_class),
-        (
-            "hain = stable-pairs + delta_irr/8",
-            hain - pairs_class == DivisorClass(g, n, delta_irr=Fraction(1, 8)),
-        ),
-    ]
-    if has_negative:
-        identities.append(("mueller + diff = stable-pairs", mueller + diff == pairs_class))
-
-    columns = [("pullback(phi_d)", pullback_d), ("stable-pairs", pairs_class), ("hain", hain)]
-    if mueller is not None:
-        columns.append(("mueller", mueller))
-
-    all_pass = all(ok for _, ok in identities)
+    found = compare_classes(g, n, degrees)
     if args.json:
         payload = {
             "g": g,
             "n": n,
             "degrees": degrees,
-            "classes": {name: jsonio.class_to_json(cls) for name, cls in columns},
-            "T": [jsonio.pair_to_json(pair) for pair in (t_set or [])],
-            "identities": {name: ok for name, ok in identities},
+            "classes": {name: jsonio.class_to_json(cls) for name, cls in found.classes.items()},
+            "T": [jsonio.pair_to_json(pair) for pair in (found.T or [])],
+            "identities": dict(found.identities),
         }
-        if diff is not None:
-            payload["mueller_diff"] = jsonio.class_to_json(diff)
+        if found.diff is not None:
+            payload["mueller_diff"] = jsonio.class_to_json(found.diff)
         _emit_json(payload)
     else:
         print(f"class comparison (g={g}, n={n}, degrees={args.degrees})")
-        print(_table(_class_rows(g, n, columns)))
-        if has_negative:
-            t_text = ", ".join(str(pair) for pair in t_set) if t_set else "(empty)"
-            print(f"T: {t_text}")
-        else:
+        print(_table(_class_rows(g, n, list(found.classes.items()))))
+        if found.T is None:
             print("T: (mueller class undefined: no negative degree)")
-        for name, ok in identities:
+        else:
+            print(f"T: {', '.join(str(pair) for pair in found.T) or '(empty)'}")
+        for name, ok in found.identities:
             print(f"identity {name}: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if all_pass else EXIT_FAIL
+    return EXIT_OK if all(ok for _, ok in found.identities) else EXIT_FAIL
 
 
 # -- check: randomized self-check sweep ---------------------------------------------------
@@ -341,15 +303,7 @@ def _cmd_check(args) -> int:
     for g, n in gn_list:
         for _ in range(trials):
             degrees = random_degrees(rng, g, n)
-            pairs_class = stable_pairs_class(g, n, degrees)
-            ok = ok and hain_class(g, n, degrees) - pairs_class == DivisorClass(
-                g, n, delta_irr=Fraction(1, 8)
-            )
-            easy = theta_pullback(phi_from_degrees(g, n, degrees), degrees)
-            ok = ok and easy.delta_irr == 0 and not easy.delta
-            if any(d < 0 for d in degrees):
-                t_set, diff = mueller_comparison(g, n, degrees)
-                ok = ok and mueller_class(g, n, degrees) + diff == pairs_class
+            ok = ok and all(holds for _, holds in class_identities(g, n, degrees))
             cases += 1
     report("class identities", ok, cases)
 

@@ -16,15 +16,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import BasisMismatch, InadmissiblePair, NoNegativeDegree
-from .graphs import BoundaryPair, admissible_pairs, check_gn
+from .graphs import BoundaryPair, admissible_pairs, check_gn, pair_index
 from .stability import (
     StabilityParameter,
     _as_fraction,
     _check_degrees,
     degree_sum,
+    phi_from_degrees,
     polytope_label,
 )
 
@@ -34,13 +35,7 @@ def binom2(m: int) -> int:
     return m * (m - 1) // 2
 
 
-@lru_cache
-def _delta_index(g: int, n: int) -> dict[BoundaryPair, int]:
-    """Position of each delta_(i,S) in the coefficient tuple of a class over (g, n)."""
-    return {pair: n + 2 + k for k, pair in enumerate(admissible_pairs(g, n))}
-
-
-@lru_cache
+@lru_cache(typed=True)
 def basis_labels(g: int, n: int) -> tuple[str, ...]:
     """Term names of the basis in coefficient order: lambda, psi_j, delta_irr, delta_(i,S)."""
     return (
@@ -69,8 +64,8 @@ class DivisorClass:
         delta: Mapping[BoundaryPair, Fraction] | None = None,
     ):
         check_gn(g, n)
-        index = _delta_index(g, n)
-        coeffs = [Fraction(0)] * (n + 2 + len(index))
+        index = pair_index(g, n)
+        coeffs = [Fraction(0)] * (n + 2 + len(admissible_pairs(g, n)))
         coeffs[0] = _as_fraction(lam)
         for j, c in (psi or {}).items():
             if not isinstance(j, int) or not 1 <= j <= n:
@@ -81,7 +76,7 @@ class DivisorClass:
             k = index.get(pair)
             if k is None:
                 raise BasisMismatch(f"delta index {pair} is not admissible for (g,n)=({g},{n})")
-            coeffs[k] = _as_fraction(c)
+            coeffs[n + 2 + k] = _as_fraction(c)
         self.g = g
         self.n = n
         self.coeffs = tuple(coeffs)
@@ -118,8 +113,8 @@ class DivisorClass:
         return self.coeffs[j]
 
     def delta_coeff(self, pair: BoundaryPair) -> Fraction:
-        k = _delta_index(self.g, self.n).get(pair)
-        return Fraction(0) if k is None else self.coeffs[k]
+        k = pair_index(self.g, self.n).get(pair)
+        return Fraction(0) if k is None else self.coeffs[self.n + 2 + k]
 
     @property
     def is_zero(self) -> bool:
@@ -178,6 +173,12 @@ def class_algebra(a: DivisorClass, ca, b: DivisorClass, cb) -> DivisorClass:
 # -- the five class formulas ---------------------------------------------------
 
 
+def _theta_form(g: int, n: int, degrees: Sequence[int], delta) -> DivisorClass:
+    """-lambda + sum_j C(d_j+1, 2) psi_j + the delta_(i,S) coefficients, given in pair order."""
+    psi = (Fraction(binom2(d + 1)) for d in degrees)
+    return DivisorClass._of(g, n, (Fraction(-1), *psi, Fraction(0), *map(Fraction, delta)))
+
+
 def theta_pullback(phi: StabilityParameter, degrees: Sequence[int]) -> DivisorClass:
     """Pullback of the theta class along the section twisting by the degree vector.
 
@@ -187,12 +188,11 @@ def theta_pullback(phi: StabilityParameter, degrees: Sequence[int]) -> DivisorCl
     """
     degrees = _check_degrees(phi.g, phi.n, degrees)
     label = polytope_label(phi)
-    psi = {j: binom2(degrees[j - 1] + 1) for j in range(1, phi.n + 1)}
-    delta = {}
-    for pair in label.pairs:
-        d_s = degree_sum(degrees, pair)
-        delta[pair] = binom2(label.d(pair) - pair.i + 1) - binom2(d_s - pair.i + 1)
-    return DivisorClass(phi.g, phi.n, lam=-1, psi=psi, delta=delta)
+    delta = (
+        binom2(d - pair.i + 1) - binom2(degree_sum(degrees, pair) - pair.i + 1)
+        for pair, d in zip(label.pairs, label.values)
+    )
+    return _theta_form(phi.g, phi.n, degrees, delta)
 
 
 def wall_crossing_single(g: int, n: int, pair: BoundaryPair, d: int) -> DivisorClass:
@@ -216,11 +216,11 @@ def wall_crossing(phi1: StabilityParameter, phi2: StabilityParameter) -> Divisor
         )
     label1 = polytope_label(phi1)
     label2 = polytope_label(phi2)
-    delta = {
-        pair: binom2(label2.d(pair) - pair.i + 1) - binom2(label1.d(pair) - pair.i + 1)
-        for pair in label1.pairs
-    }
-    return DivisorClass(phi1.g, phi1.n, delta=delta)
+    delta = (
+        Fraction(binom2(d2 - pair.i + 1) - binom2(d1 - pair.i + 1))
+        for pair, d1, d2 in zip(label1.pairs, label1.values, label2.values)
+    )
+    return DivisorClass._of(phi1.g, phi1.n, (Fraction(0),) * (phi1.n + 2) + tuple(delta))
 
 
 def stable_pairs_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
@@ -232,11 +232,8 @@ def stable_pairs_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
     """
     check_gn(g, n)
     degrees = _check_degrees(g, n, degrees)
-    psi = {j: binom2(degrees[j - 1] + 1) for j in range(1, n + 1)}
-    delta = {
-        pair: -binom2(degree_sum(degrees, pair) - pair.i + 1) for pair in admissible_pairs(g, n)
-    }
-    return DivisorClass(g, n, lam=-1, psi=psi, delta=delta)
+    delta = (-binom2(degree_sum(degrees, pair) - pair.i + 1) for pair in admissible_pairs(g, n))
+    return _theta_form(g, n, degrees, delta)
 
 
 def hain_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
@@ -260,15 +257,14 @@ def mueller_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
     """
     degrees = _check_negative_degrees(g, n, degrees)
     s_plus = {j + 1 for j, d in enumerate(degrees) if d > 0}
-    psi = {j: binom2(degrees[j - 1] + 1) for j in range(1, n + 1)}
-    delta = {}
+    delta = []
     for pair in admissible_pairs(g, n):
         d_s = degree_sum(degrees, pair)
         if pair.S <= s_plus:
-            delta[pair] = -binom2(abs(d_s - pair.i) + 1)
+            delta.append(-binom2(abs(d_s - pair.i) + 1))
         else:
-            delta[pair] = -binom2(d_s - pair.i + 1)
-    return DivisorClass(g, n, lam=-1, psi=psi, delta=delta)
+            delta.append(-binom2(d_s - pair.i + 1))
+    return _theta_form(g, n, degrees, delta)
 
 
 def mueller_comparison(
@@ -301,4 +297,48 @@ def twist_divisor_coeffs(
     """
     degrees = _check_degrees(phi.g, phi.n, degrees)
     label = polytope_label(phi)
-    return {pair: degree_sum(degrees, pair) - label.d(pair) for pair in label.pairs}
+    return {pair: degree_sum(degrees, pair) - d for pair, d in zip(label.pairs, label.values)}
+
+
+# -- the identities among the comparison classes ----------------------------------
+
+
+class ClassComparison(NamedTuple):
+    """What `jacwall compare` reports: the classes in column order, T, diff and the identities."""
+
+    classes: dict[str, DivisorClass]
+    T: list[BoundaryPair] | None
+    diff: DivisorClass | None
+    identities: list[tuple[str, bool]]
+
+
+def compare_classes(g: int, n: int, degrees: Sequence[int]) -> ClassComparison:
+    """The comparison of a degree vector; without a negative degree no "mueller", T or diff."""
+    pullback_d = theta_pullback(phi_from_degrees(g, n, degrees), degrees)
+    pairs_class = stable_pairs_class(g, n, degrees)
+    hain = hain_class(g, n, degrees)
+    flat_phi = StabilityParameter._of(g, n, tuple(Fraction(p.i) for p in admissible_pairs(g, n)))
+    flat_pullback = theta_pullback(flat_phi, degrees)
+    classes = {"pullback(phi_d)": pullback_d, "stable-pairs": pairs_class, "hain": hain}
+    identities = [
+        (
+            "pullback(phi_dvec) has no boundary terms",
+            pullback_d.delta_irr == 0 and not pullback_d.delta,
+        ),
+        ("pullback(flat phi) = stable-pairs", flat_pullback == pairs_class),
+        (
+            "hain = stable-pairs + delta_irr/8",
+            hain - pairs_class == DivisorClass(g, n, delta_irr=Fraction(1, 8)),
+        ),
+    ]
+    t_set = diff = None
+    if any(d < 0 for d in degrees):
+        classes["mueller"] = mueller = mueller_class(g, n, degrees)
+        t_set, diff = mueller_comparison(g, n, degrees)
+        identities.append(("mueller + diff = stable-pairs", mueller + diff == pairs_class))
+    return ClassComparison(classes, t_set, diff, identities)
+
+
+def class_identities(g: int, n: int, degrees: Sequence[int]) -> list[tuple[str, bool]]:
+    """The ordered (name, holds) identities among the comparison classes of a degree vector."""
+    return compare_classes(g, n, degrees).identities

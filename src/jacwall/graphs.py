@@ -28,7 +28,7 @@ Edge = tuple[str, str]
 
 def check_gn(g: int, n: int) -> None:
     """Validate a (genus, marking count) pair, raising InvalidGN otherwise."""
-    if not isinstance(g, int) or not isinstance(n, int):
+    if type(g) is not int or type(n) is not int:  # not isinstance: bool is an int subclass
         raise InvalidGN(f"g and n must be integers, got g={g!r}, n={n!r}")
     if g < 0:
         raise InvalidGN(f"genus must be nonnegative, got g={g}")
@@ -118,7 +118,7 @@ class MarkedGraph:
         for v, gv in genus_of.items():
             if not isinstance(v, str) or not v:
                 raise InvalidGraph(f"vertex ids must be nonempty strings, got {v!r}")
-            if not isinstance(gv, int) or gv < 0:
+            if isinstance(gv, bool) or not isinstance(gv, int) or gv < 0:
                 raise InvalidGraph(f"genus of {v} must be a nonnegative integer, got {gv!r}")
 
         edge_list: list[Edge] = []
@@ -127,16 +127,16 @@ class MarkedGraph:
                 a, b = e
             except (TypeError, ValueError):
                 raise InvalidGraph(f"an edge needs exactly two endpoints, got {e!r}") from None
-            if a not in genus_of or b not in genus_of:
+            if not (isinstance(a, str) and isinstance(b, str) and a in genus_of and b in genus_of):
                 raise InvalidGraph(f"edge ({a!r},{b!r}) has an unknown endpoint")
             edge_list.append((a, b) if a <= b else (b, a))
         edge_list.sort()
 
         marking_of = {}
         for j, v in dict(markings).items():
-            if not isinstance(j, int):
+            if isinstance(j, bool) or not isinstance(j, int):
                 raise InvalidGraph(f"marking labels must be integers, got {j!r}")
-            if v not in genus_of:
+            if not isinstance(v, str) or v not in genus_of:
                 raise InvalidGraph(f"marking {j} placed on unknown vertex {v!r}")
             marking_of[j] = v
         n = len(marking_of)
@@ -333,8 +333,10 @@ class RootedTree(NamedTuple):
         below = bool(mask & 1)
         if not below:
             i, mask = self.genus[root] - i, self.marks[root] ^ mask
-        S = frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
-        return BoundaryPair(i, S), below
+        pair = _pair_by_key(self.genus[root], self.marks[root].bit_length()).get((i, mask))
+        if pair is None:
+            raise InvalidGraph(f"edge {self.parent[v][0]} cuts out inadmissible side ({i}, {mask:#b})")
+        return pair, below
 
 
 def rooted_tree(G: MarkedGraph, root: str) -> RootedTree:
@@ -385,10 +387,7 @@ def boundary_pair_of_edge(G: MarkedGraph, edge_index: int) -> tuple[BoundaryPair
     if a == b:
         raise LoopEdge(f"edge {edge_index} is a loop at {a}")
     child = max((a, b), key=tree.order.index)  # a parent precedes its child in preorder
-    pair, _ = tree.cut(child)
-    if not pair.is_admissible(genus(G), G.n):
-        raise InvalidGraph(f"edge {edge_index} cuts out inadmissible pair {pair}")
-    return pair, frozenset(G.vertices) - tree.subtree(child)
+    return tree.cut(child)[0], frozenset(G.vertices) - tree.subtree(child)
 
 
 def two_vertex_graph(g: int, n: int, pair: BoundaryPair) -> MarkedGraph:
@@ -400,7 +399,7 @@ def two_vertex_graph(g: int, n: int, pair: BoundaryPair) -> MarkedGraph:
     return MarkedGraph({"v1": pair.i, "v2": g - pair.i}, [("v1", "v2")], markings)
 
 
-@lru_cache
+@lru_cache(typed=True)  # typed, so that a cached (1, n) never answers (True, n)
 def admissible_pairs(g: int, n: int) -> tuple[BoundaryPair, ...]:
     """All admissible pairs (i, S) in canonical order (by i, then S as a bitmask)."""
     check_gn(g, n)
@@ -414,6 +413,18 @@ def admissible_pairs(g: int, n: int) -> tuple[BoundaryPair, ...]:
                     pairs.append(pair)
     pairs.sort(key=lambda p: p.sort_key)
     return tuple(pairs)
+
+
+@lru_cache(typed=True)
+def pair_index(g: int, n: int) -> dict[BoundaryPair, int]:
+    """Position of each admissible pair in `admissible_pairs(g, n)`, the order of every pair vector."""
+    return {pair: k for k, pair in enumerate(admissible_pairs(g, n))}
+
+
+@lru_cache(typed=True)
+def _pair_by_key(g: int, n: int) -> dict[tuple[int, int], BoundaryPair]:
+    """The admissible pairs of (g, n) keyed by their sort key (i, marking bitmask)."""
+    return {pair.sort_key: pair for pair in admissible_pairs(g, n)}
 
 
 # -- elementary subgraphs ------------------------------------------------------

@@ -166,8 +166,8 @@ def parameter_to_json(phi: StabilityParameter) -> dict:
         "g": phi.g,
         "n": phi.n,
         "coords": [
-            {**pair_to_json(pair), "phi_plus": format_rational(phi.phi_plus(pair))}
-            for pair in phi.pairs
+            {**pair_to_json(pair), "phi_plus": format_rational(value)}
+            for pair, value in zip(phi.pairs, phi.values)
         ],
     }
 
@@ -191,7 +191,7 @@ def label_to_json(label: PolytopeLabel) -> dict:
     return {
         "g": label.g,
         "n": label.n,
-        "label": [{**pair_to_json(pair), "d": label.d(pair)} for pair in label.pairs],
+        "label": [{**pair_to_json(pair), "d": d} for pair, d in zip(label.pairs, label.values)],
     }
 
 

@@ -33,6 +33,7 @@ from .graphs import (
     contract,
     crossing_edge_indices,
     genus,
+    pair_index,
     rooted_tree,
 )
 
@@ -45,104 +46,98 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-class StabilityParameter:
-    """An element of the stability space, stored by its coordinates phi+(i, S)."""
+class _PairVector:
+    """One value per admissible pair of (g, n), held as ``values`` in `admissible_pairs` order.
 
-    def __init__(self, g: int, n: int, coords: Mapping[BoundaryPair, Fraction]):
+    Subclasses give ``_noun`` and ``_checked``, which checks the values the public constructor takes.
+    """
+
+    def __init__(self, g: int, n: int, by_pair: Mapping[BoundaryPair, object]):
         check_gn(g, n)
-        pairs = admissible_pairs(g, n)
-        values = {pair: _as_fraction(c) for pair, c in coords.items()}
-        if set(values) != set(pairs):
+        values = self._checked(by_pair)
+        pairs, index = admissible_pairs(g, n), pair_index(g, n)
+        if set(values) != set(index):  # sets made from dicts reuse the stored hashes
             missing = [str(p) for p in pairs if p not in values]
-            stray = [str(p) for p in values if p not in set(pairs)]
+            stray = [str(p) for p in values if p not in index]
             raise InvalidParameter(
-                f"coordinates must cover exactly the admissible pairs of (g,n)=({g},{n});"
+                f"{self._noun} must cover exactly the admissible pairs of (g,n)=({g},{n});"
                 f" missing {missing}, stray {stray}"
             )
         self.g = g
         self.n = n
-        self._coords = values
+        self.values = tuple(map(values.__getitem__, pairs))
+
+    @classmethod
+    def _of(cls, g: int, n: int, values: tuple):
+        """A vector from already checked values in `admissible_pairs(g, n)` order."""
+        out = cls.__new__(cls)
+        out.g, out.n, out.values = g, n, values
+        return out
 
     @property
     def pairs(self) -> tuple[BoundaryPair, ...]:
         return admissible_pairs(self.g, self.n)
+
+    def _by_pair(self) -> Mapping[BoundaryPair, object]:
+        return MappingProxyType(dict(zip(self.pairs, self.values)))
+
+    def _at(self, pair: BoundaryPair):
+        k = pair_index(self.g, self.n).get(pair)
+        if k is None:
+            raise InadmissiblePair(f"{pair} is not admissible for (g,n)=({self.g},{self.n})")
+        return self.values[k]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.g, self.n, self.values) == (other.g, other.n, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.g, self.n, self.values))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{p}:{v}" for p, v in zip(self.pairs, self.values))
+        return f"{type(self).__name__}(g={self.g}, n={self.n}, {{{inner}}})"
+
+
+class StabilityParameter(_PairVector):
+    """An element of the stability space, stored by its coordinates phi+(i, S)."""
+
+    _noun = "coordinates"
+
+    @staticmethod
+    def _checked(coords: Mapping[BoundaryPair, Fraction]) -> dict[BoundaryPair, Fraction]:
+        return {pair: _as_fraction(c) for pair, c in coords.items()}
 
     @property
     def coords(self) -> Mapping[BoundaryPair, Fraction]:
-        return MappingProxyType(self._coords)
+        return self._by_pair()
 
     def phi_plus(self, pair: BoundaryPair) -> Fraction:
-        try:
-            return self._coords[pair]
-        except KeyError:
-            raise InadmissiblePair(f"{pair} is not admissible for (g,n)=({self.g},{self.n})")
+        return self._at(pair)
 
     def phi_minus(self, pair: BoundaryPair) -> Fraction:
-        return self.g - 1 - self.phi_plus(pair)
-
-    def _key(self):
-        return (self.g, self.n, tuple(self._coords[p] for p in self.pairs))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StabilityParameter):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{p}:{self._coords[p]}" for p in self.pairs)
-        return f"StabilityParameter(g={self.g}, n={self.n}, {{{inner}}})"
+        return self.g - 1 - self._at(pair)
 
 
-class PolytopeLabel:
+class PolytopeLabel(_PairVector):
     """The integer vector d(i, S) naming a stability polytope."""
 
-    def __init__(self, g: int, n: int, label: Mapping[BoundaryPair, int]):
-        check_gn(g, n)
-        pairs = admissible_pairs(g, n)
-        values = {}
+    _noun = "label"
+
+    @staticmethod
+    def _checked(label: Mapping[BoundaryPair, int]) -> dict[BoundaryPair, int]:
         for pair, d in label.items():
             if not isinstance(d, int) or isinstance(d, bool):
                 raise InvalidParameter(f"label values must be integers, got {d!r} at {pair}")
-            values[pair] = d
-        if set(values) != set(pairs):
-            raise InvalidParameter(
-                f"label must cover exactly the admissible pairs of (g,n)=({g},{n})"
-            )
-        self.g = g
-        self.n = n
-        self._label = values
-
-    @property
-    def pairs(self) -> tuple[BoundaryPair, ...]:
-        return admissible_pairs(self.g, self.n)
+        return dict(label)
 
     @property
     def label(self) -> Mapping[BoundaryPair, int]:
-        return MappingProxyType(self._label)
+        return self._by_pair()
 
     def d(self, pair: BoundaryPair) -> int:
-        try:
-            return self._label[pair]
-        except KeyError:
-            raise InadmissiblePair(f"{pair} is not admissible for (g,n)=({self.g},{self.n})")
-
-    def _key(self):
-        return (self.g, self.n, tuple(self._label[p] for p in self.pairs))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolytopeLabel):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{p}:{self._label[p]}" for p in self.pairs)
-        return f"PolytopeLabel(g={self.g}, n={self.n}, {{{inner}}})"
+        return self._at(pair)
 
 
 class GraphParameter:
@@ -192,8 +187,8 @@ def _wall_hit(value: Fraction):
 
 def first_wall(phi: StabilityParameter):
     """The first wall (pair, d) the parameter lies on, in canonical pair order, or None."""
-    for pair in phi.pairs:
-        d = _wall_hit(phi.phi_plus(pair))
+    for pair, value in zip(phi.pairs, phi.values):
+        d = _wall_hit(value)
         if d is not None:
             return pair, d
     return None
@@ -215,13 +210,7 @@ def polytope_label(phi: StabilityParameter) -> PolytopeLabel:
             pair=pair,
             d=d,
         )
-    return PolytopeLabel(
-        phi.g, phi.n, {pair: _nearest_int(phi.phi_plus(pair)) for pair in phi.pairs}
-    )
-
-
-def _nearest_int(value: Fraction) -> int:
-    return math.floor(value + HALF)
+    return PolytopeLabel._of(phi.g, phi.n, tuple(math.floor(value + HALF) for value in phi.values))
 
 
 # -- constructors ----------------------------------------------------------------
@@ -244,10 +233,8 @@ def phi_from_degrees(g: int, n: int, degrees: Sequence[int]) -> StabilityParamet
     """
     check_gn(g, n)
     degrees = _check_degrees(g, n, degrees)
-    coords = {
-        pair: Fraction(sum(degrees[j - 1] for j in pair.S)) for pair in admissible_pairs(g, n)
-    }
-    return StabilityParameter(g, n, coords)
+    coords = tuple(Fraction(degree_sum(degrees, pair)) for pair in admissible_pairs(g, n))
+    return StabilityParameter._of(g, n, coords)
 
 
 def degree_sum(degrees: Sequence[int], pair: BoundaryPair) -> int:
@@ -257,9 +244,7 @@ def degree_sum(degrees: Sequence[int], pair: BoundaryPair) -> int:
 
 def phi_from_label(label: PolytopeLabel) -> StabilityParameter:
     """An interior point of the named polytope: phi+(i, S) = d(i, S) exactly."""
-    return StabilityParameter(
-        label.g, label.n, {pair: Fraction(label.d(pair)) for pair in label.pairs}
-    )
+    return StabilityParameter._of(label.g, label.n, tuple(map(Fraction, label.values)))
 
 
 def canonical_parameter(g: int, n: int) -> StabilityParameter:
@@ -269,7 +254,7 @@ def canonical_parameter(g: int, n: int) -> StabilityParameter:
     pair exists; it corresponds to classical slope stability.
     """
     check_gn(g, n)
-    return StabilityParameter(g, n, {pair: pair.i - HALF for pair in admissible_pairs(g, n)})
+    return StabilityParameter._of(g, n, tuple(pair.i - HALF for pair in admissible_pairs(g, n)))
 
 
 def dualizing_degree(G: MarkedGraph, v: str) -> int:
@@ -306,15 +291,15 @@ def random_parameter(
     rng: random.Random, g: int, n: int, denominator_max: int = 10
 ) -> StabilityParameter:
     """A nondegenerate parameter with coordinates p/q in [-3, 3], q <= denominator_max."""
-    coords = {}
-    for pair in admissible_pairs(g, n):
+    coords = []
+    for _ in admissible_pairs(g, n):
         while True:
             q = rng.randint(1, denominator_max)
             value = Fraction(rng.randint(-3 * q, 3 * q), q)
             if _wall_hit(value) is None:
-                coords[pair] = value
+                coords.append(value)
                 break
-    return StabilityParameter(g, n, coords)
+    return StabilityParameter._of(g, n, tuple(coords))
 
 
 def random_degrees(rng: random.Random, g: int, n: int, lo: int = -3, hi: int = 4) -> tuple[int, ...]:
@@ -390,29 +375,28 @@ def is_theta_flat(phi: StabilityParameter) -> bool:
     space, and they all share one divisor class.
     """
     label = polytope_label(phi)
-    return all(label.d(pair) in (pair.i - 1, pair.i) for pair in label.pairs)
+    return all(d in (pair.i - 1, pair.i) for pair, d in zip(label.pairs, label.values))
 
 
 def is_theta_reduced(phi: StabilityParameter) -> bool:
     """True when the polytope of phi is adjacent (coordinatewise) to a flat one."""
     label = polytope_label(phi)
-    return all(
-        pair.i - 2 <= label.d(pair) <= pair.i + 1 for pair in label.pairs
-    )
+    return all(pair.i - 2 <= d <= pair.i + 1 for pair, d in zip(label.pairs, label.values))
 
 
 # -- twist action --------------------------------------------------------------------
 
 
-def _check_twist(g: int, n: int, twist: Mapping[BoundaryPair, int]) -> dict[BoundaryPair, int]:
-    pairs = set(admissible_pairs(g, n))
-    out = {}
+def _check_twist(g: int, n: int, twist: Mapping[BoundaryPair, int]) -> list[int]:
+    """The twist as a dense coefficient list in `admissible_pairs(g, n)` order."""
+    index = pair_index(g, n)
+    out = [0] * len(admissible_pairs(g, n))
     for pair, t in twist.items():
-        if pair not in pairs:
+        if pair not in index:
             raise InadmissiblePair(f"twist supported on inadmissible pair {pair}")
         if not isinstance(t, int) or isinstance(t, bool):
             raise InvalidParameter(f"twist coefficients must be integers, got {t!r}")
-        out[pair] = t
+        out[index[pair]] = t
     return out
 
 
@@ -423,21 +407,17 @@ def twist_label(label: PolytopeLabel, twist: Mapping[BoundaryPair, int]) -> Poly
     S-side degree by 1; missing pairs act trivially.
     """
     t = _check_twist(label.g, label.n, twist)
-    return PolytopeLabel(
-        label.g, label.n, {pair: label.d(pair) + t.get(pair, 0) for pair in label.pairs}
-    )
+    return PolytopeLabel._of(label.g, label.n, tuple(d + s for d, s in zip(label.values, t)))
 
 
 def connecting_twist(label1: PolytopeLabel, label2: PolytopeLabel) -> dict[BoundaryPair, int]:
     """The unique twist carrying the first polytope to the second: t = d2 - d1."""
     if (label1.g, label1.n) != (label2.g, label2.n):
         raise InvalidParameter("labels live over different (g, n)")
-    return {pair: label2.d(pair) - label1.d(pair) for pair in label1.pairs}
+    return {pair: d2 - d1 for pair, d1, d2 in zip(label1.pairs, label1.values, label2.values)}
 
 
 def twist_parameter(phi: StabilityParameter, twist: Mapping[BoundaryPair, int]) -> StabilityParameter:
     """Translate a parameter coordinatewise by an integer twist (phi+ += t)."""
     t = _check_twist(phi.g, phi.n, twist)
-    return StabilityParameter(
-        phi.g, phi.n, {pair: phi.phi_plus(pair) + t.get(pair, 0) for pair in phi.pairs}
-    )
+    return StabilityParameter._of(phi.g, phi.n, tuple(c + s for c, s in zip(phi.values, t)))

@@ -19,6 +19,7 @@ from jacwall import (
     binom2,
     canonical_parameter,
     class_algebra,
+    class_identities,
     connecting_twist,
     hain_class,
     mueller_class,
@@ -33,6 +34,7 @@ from jacwall import (
     wall_crossing_single,
     zero_class,
 )
+from jacwall.divisor_classes import compare_classes
 from testutil import GN_SET, random_degrees, random_parameter
 
 F = Fraction
@@ -266,6 +268,34 @@ def test_mueller_equals_stable_pairs_iff_t_empty():
             t_set, _ = mueller_comparison(g, n, degrees)
             equal = mueller_class(g, n, degrees) == stable_pairs_class(g, n, degrees)
             assert equal == (not t_set)
+
+
+IDENTITY_NAMES = [
+    "pullback(phi_dvec) has no boundary terms",
+    "pullback(flat phi) = stable-pairs",
+    "hain = stable-pairs + delta_irr/8",
+    "mueller + diff = stable-pairs",
+]
+
+
+def test_class_identities_hold_in_order():
+    rng = random.Random(97)
+    for g, n in GN_SET:
+        for _ in range(6):
+            degrees = random_degrees(rng, g, n)
+            identities = class_identities(g, n, degrees)
+            expected = IDENTITY_NAMES if any(d < 0 for d in degrees) else IDENTITY_NAMES[:3]
+            assert identities == [(name, True) for name in expected]
+
+
+def test_compare_classes_columns_and_mueller_parts():
+    found = compare_classes(3, 3, (1, 2, -1))
+    assert list(found.classes) == ["pullback(phi_d)", "stable-pairs", "hain", "mueller"]
+    assert found.classes["mueller"] == mueller_class(3, 3, (1, 2, -1))
+    assert (found.T, found.diff) == mueller_comparison(3, 3, (1, 2, -1))
+    nonnegative = compare_classes(3, 3, (1, 1, 0))
+    assert list(nonnegative.classes) == ["pullback(phi_d)", "stable-pairs", "hain"]
+    assert nonnegative.T is None and nonnegative.diff is None
 
 
 # -- twist divisor coefficients -------------------------------------------------------------

@@ -14,6 +14,7 @@ from jacwall import (
     MarkedGraph,
     NotTreeLike,
     admissible_pairs,
+    basis_labels,
     boundary_pair_of_edge,
     contract,
     crossing_edge_indices,
@@ -66,6 +67,24 @@ def test_rejects_bad_markings():
 def test_rejects_edge_without_two_endpoints(edge):
     with pytest.raises(InvalidGraph, match="exactly two endpoints"):
         MarkedGraph({"a": 1}, [edge], {1: "a"})
+
+
+@pytest.mark.parametrize(
+    "edges, markings", [([(["a"], "a")], {1: "a"}), ([("a", ["a"])], {1: "a"}), ([], {1: ["a"]})]
+)
+def test_rejects_unhashable_vertex_reference(edges, markings):
+    with pytest.raises(InvalidGraph, match="unknown"):
+        MarkedGraph({"a": 1}, edges, markings)
+
+
+def test_rejects_bool_genus():
+    with pytest.raises(InvalidGraph, match="genus of a"):
+        MarkedGraph({"a": True}, [], {1: "a"})
+
+
+def test_rejects_bool_marking_label():
+    with pytest.raises(InvalidGraph, match="marking labels"):
+        MarkedGraph({"a": 1}, [], {True: "a"})
 
 
 def test_loop_counts_twice_for_stability():
@@ -277,6 +296,16 @@ def test_invalid_gn():
         admissible_pairs(1, 0)
     with pytest.raises(InvalidGN):
         admissible_pairs(-1, 2)
+
+
+def test_bools_are_not_genus_or_marking_counts():
+    # (1, 3) is cached first: True == 1 and hash(True) == hash(1), so an untyped cache would answer
+    assert len(admissible_pairs(1, 3)) == 4 and len(basis_labels(1, 3)) == 9
+    for g, n in ((True, 3), (1, True), (False, 3)):
+        with pytest.raises(InvalidGN):
+            admissible_pairs(g, n)
+        with pytest.raises(InvalidGN):
+            basis_labels(g, n)
 
 
 # -- elementary subgraphs -------------------------------------------------------------------

@@ -8,12 +8,13 @@ from jacwall import (
     GraphMismatch,
     MarkedGraph,
     NotTreeLike,
+    admissible_pairs,
     boundary_pair_of_edge,
     elementary_subgraphs,
     extend_to_graph,
     genus,
 )
-from jacwall.graphs import rooted_tree
+from jacwall.graphs import pair_index, rooted_tree
 from testutil import (
     TREE_SHAPES,
     random_parameter,
@@ -33,6 +34,7 @@ def _graph(shape, k):
 @pytest.mark.parametrize("shape", TREE_SHAPES)
 def test_preorder_slices_are_the_subtrees(shape, k):
     G = _graph(shape, k)
+    pairs, index = admissible_pairs(genus(G), G.n), pair_index(genus(G), G.n)
     for root in (G.vertices[0], G.marking_of[1], G.vertices[-1]):
         tree = rooted_tree(G, root)
         assert tree.order[0] == root and sorted(tree.order) == list(G.vertices)
@@ -44,6 +46,7 @@ def test_preorder_slices_are_the_subtrees(shape, k):
             below = tree.subtree(v)
             assert below == (side if v in side else all_verts - side)
             assert tree.cut(v) == (reference_pair(G, side), v in side)
+            assert tree.cut(v)[0] is pairs[index[reference_pair(G, side)]]
 
 
 @pytest.mark.parametrize("k", SIZES)

@@ -26,3 +26,16 @@ def test_library_caches_are_bounded():
     ]
     assert SOURCES, "no library sources found"
     assert found == []
+
+
+def test_only_graphs_maps_pairs_to_positions():
+    # the position of a pair in every pair-indexed vector is decided by graphs.pair_index alone
+    found = [
+        f"{path.name}:{lineno}"
+        for path in SOURCES
+        if path.name != "graphs.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "enumerate(admissible_pairs(" in line
+    ]
+    assert SOURCES, "no library sources found"
+    assert found == []

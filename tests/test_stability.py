@@ -130,6 +130,33 @@ def test_parameter_rejects_floats():
         StabilityParameter(2, 2, {p012: 0.5, p11: F(0), p112: F(0)})
 
 
+def test_label_requires_exact_domain_and_integers():
+    p012, p11, p112 = admissible_pairs(2, 2)
+    with pytest.raises(InvalidParameter, match="missing"):
+        PolytopeLabel(2, 2, {p012: 0, p11: 1})
+    with pytest.raises(InvalidParameter, match="stray"):
+        PolytopeLabel(2, 2, {p012: 0, p11: 1, p112: 1, pair(1, 1, 2, 3): 0})
+    with pytest.raises(InvalidParameter, match="integers"):
+        PolytopeLabel(2, 2, {p012: 0, p11: True, p112: 1})
+
+
+@pytest.mark.parametrize("g, n", [(3, 3), (4, 5), (5, 7)])
+def test_checked_and_unchecked_constructors_agree(g, n):
+    # random_parameter and polytope_label build through _of; the public constructors re-check
+    rng = random.Random(f"of:{g},{n}")
+    pairs = list(admissible_pairs(g, n))
+    for _ in range(3):
+        phi = random_parameter(rng, g, n)
+        label = polytope_label(phi)
+        rng.shuffle(pairs)  # the public constructors take any key order
+        coords = {p: phi.phi_plus(p) for p in pairs}
+        d = {p: label.d(p) for p in pairs}
+        for built, public in ((phi, StabilityParameter(g, n, coords)), (label, PolytopeLabel(g, n, d))):
+            assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
+            assert built.values == public.values and public.pairs == admissible_pairs(g, n)
+        assert phi.coords == coords and label.label == d
+
+
 def test_phi_from_degrees_examples():
     phi = phi_from_degrees(2, 2, (3, -2))
     p012, p11, p112 = admissible_pairs(2, 2)
