@@ -316,7 +316,8 @@ def compare_classes(g: int, n: int, degrees: Sequence[int]) -> ClassComparison:
     """The comparison of a degree vector; without a negative degree no "mueller", T or diff."""
     pullback_d = theta_pullback(phi_from_degrees(g, n, degrees), degrees)
     pairs_class = stable_pairs_class(g, n, degrees)
-    hain = hain_class(g, n, degrees)
+    eighth_irr = DivisorClass(g, n, delta_irr=Fraction(1, 8))
+    hain = pairs_class + eighth_irr  # hain_class, without computing stable_pairs_class again
     flat_phi = StabilityParameter._of(g, n, tuple(Fraction(p.i) for p in admissible_pairs(g, n)))
     flat_pullback = theta_pullback(flat_phi, degrees)
     classes = {"pullback(phi_d)": pullback_d, "stable-pairs": pairs_class, "hain": hain}
@@ -326,10 +327,7 @@ def compare_classes(g: int, n: int, degrees: Sequence[int]) -> ClassComparison:
             pullback_d.delta_irr == 0 and not pullback_d.delta,
         ),
         ("pullback(flat phi) = stable-pairs", flat_pullback == pairs_class),
-        (
-            "hain = stable-pairs + delta_irr/8",
-            hain - pairs_class == DivisorClass(g, n, delta_irr=Fraction(1, 8)),
-        ),
+        ("hain = stable-pairs + delta_irr/8", hain - pairs_class == eighth_irr),
     ]
     t_set = diff = None
     if any(d < 0 for d in degrees):

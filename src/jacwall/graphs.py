@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     GraphMismatch,
@@ -309,22 +309,30 @@ def contract(G: MarkedGraph, edge_indices: Iterable[int]) -> tuple[MarkedGraph, 
 class RootedTree(NamedTuple):
     """The spanning tree of a rank-0 graph, walked once from its root (see `rooted_tree`).
 
-    ``order`` is a preorder taking children in edge order, so the subtree of
-    ``order[k]`` is the slice ``order[k:k + size[order[k]]]``.  ``parent``
-    maps every other vertex to the index of its parent edge and its parent
-    vertex.  ``genus`` totals vertex genera plus loops over each subtree and
-    ``marks`` its markings, as a bitmask with bit j - 1 for marking j.
+    ``order`` is a preorder taking children in edge order, with ``position``
+    of each vertex in it, so the subtree of v is ``size[v]`` long from there.
+    ``parent`` maps every other vertex to the index of its parent edge and its
+    parent vertex.  ``genus`` totals vertex genera plus loops over each subtree
+    and ``marks`` its markings, as a bitmask with bit j - 1 for marking j.
     """
 
     order: tuple[str, ...]
+    position: Mapping[str, int]
     parent: Mapping[str, tuple[int, str]]
     size: Mapping[str, int]
     genus: Mapping[str, int]
     marks: Mapping[str, int]
 
     def subtree(self, v: str) -> frozenset[str]:
-        k = self.order.index(v)
+        k = self.position[v]
         return frozenset(self.order[k : k + self.size[v]])
+
+    def totals(self, values: Mapping[str, Any]) -> dict[str, Any]:
+        """Each vertex's value summed over its subtree, in one post-order pass."""
+        total = dict(values)
+        for v in reversed(self.order[1:]):
+            total[self.parent[v][1]] += total[v]
+        return total
 
     def cut(self, v: str) -> tuple[BoundaryPair, bool]:
         """Pair (i, S) of the marking-1 side of v's parent edge, and whether it is v's subtree."""
@@ -372,7 +380,7 @@ def rooted_tree(G: MarkedGraph, root: str) -> RootedTree:
         size[p] += size[v]
         genus_below[p] += genus_below[v]
         marks[p] |= marks[v]
-    return RootedTree(tuple(order), parent, size, genus_below, marks)
+    return RootedTree(tuple(order), {v: k for k, v in enumerate(order)}, parent, size, genus_below, marks)
 
 
 def boundary_pair_of_edge(G: MarkedGraph, edge_index: int) -> tuple[BoundaryPair, frozenset[str]]:
@@ -386,7 +394,7 @@ def boundary_pair_of_edge(G: MarkedGraph, edge_index: int) -> tuple[BoundaryPair
     a, b = G.edges[edge_index]
     if a == b:
         raise LoopEdge(f"edge {edge_index} is a loop at {a}")
-    child = max((a, b), key=tree.order.index)  # a parent precedes its child in preorder
+    child = max((a, b), key=tree.position.__getitem__)  # a parent precedes its child in preorder
     return tree.cut(child)[0], frozenset(G.vertices) - tree.subtree(child)
 
 
@@ -477,13 +485,8 @@ def elementary_subgraphs(G: MarkedGraph) -> list[frozenset[str]]:
         return elementary_subgraphs_bruteforce(G)
     tree = rooted_tree(G, G.vertices[0])
     all_verts = frozenset(G.vertices)
-    found = []
-    for v in tree.order[1:]:
-        side = tree.subtree(v)
-        found.append(side)
-        found.append(all_verts - side)
-    found.sort(key=_subset_key)
-    return found
+    sides = [tree.subtree(v) for v in tree.order[1:]]
+    return sorted(sides + [all_verts - side for side in sides], key=_subset_key)
 
 
 def crossing_edge_indices(G: MarkedGraph, subset: frozenset[str]) -> tuple[int, ...]:

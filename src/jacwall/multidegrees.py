@@ -3,9 +3,9 @@
 A rank-1 torsion-free sheaf is recorded by the set of nodes (edges) where it
 fails to be locally free and its degrees on the partial normalization there;
 a line bundle is the sheaf with no such nodes.  Stability is the system of
-partial-degree lower bounds against the parameter; testing only elementary
-subgraphs is equivalent to testing all subgraphs, and both routes are
-implemented.
+partial-degree lower bounds against the parameter.  Testing elementary
+subgraphs is equivalent to testing all of them: at rank 0 it is one O(V)
+pass of subtree sums, otherwise both routes enumerate vertex subsets.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .graphs import (
     crossing_edge_indices,
     elementary_subgraphs,
     genus,
+    loop_free_circuit_rank,
     rooted_tree,
 )
 from .stability import HALF, GraphParameter
@@ -147,18 +148,39 @@ def is_semistable(pG: GraphParameter, F: TorsionFreeDegree, strict: bool = False
     """Whether the sheaf satisfies the stability bound on every subgraph of the chosen mode.
 
     mode="elementary" checks only subgraphs with connected complement on both
-    sides, which suffices; mode="all" checks every proper subgraph.  The two
-    agree on all inputs.
+    sides, which suffices, in one O(V) subtree-sum pass at rank 0; mode="all",
+    and rank > 0, enumerate vertex subsets.  The two modes agree on all inputs.
     """
     if F.graph != pG.graph:
         raise GraphMismatch("sheaf and parameter live on different graphs")
     if mode == "elementary":
+        if loop_free_circuit_rank(pG.graph) == 0:
+            return _is_semistable_on_tree(pG, F, strict)
         subsets = elementary_subgraphs(pG.graph)
     elif mode == "all":
         subsets = _all_proper_subsets(pG.graph)
     else:
         raise MalformedInput(f"mode must be 'elementary' or 'all', got {mode!r}")
     return all(stability_inequality(pG, F, subset, strict) for subset in subsets)
+
+
+def _is_semistable_on_tree(pG: GraphParameter, F: TorsionFreeDegree, strict: bool) -> bool:
+    """The elementary test at rank 0, where v's parent edge alone joins v's subtree T to the rest.
+
+    With f = 1 when that edge is a failure, and both totals g - 1, the bounds
+    on the two sides read phi(T) - 1/2 <= deg(T) <= phi(T) + 1/2 - f.
+    """
+    tree = rooted_tree(pG.graph, pG.graph.vertices[0])
+    degree = dict(F.norm_deg)
+    for i in F.failures:  # counted at the child end of its edge, or at the vertex of its loop
+        degree[max(pG.graph.edges[i], key=tree.position.__getitem__)] += 1
+    phi, deg = tree.totals(pG.values), tree.totals(degree)
+    for v in tree.order[1:]:
+        f = int(tree.parent[v][0] in F.failures)
+        lo, hi, d = phi[v] - HALF, phi[v] + HALF - f, deg[v] - f
+        if not (lo < d < hi if strict else lo <= d <= hi):
+            return False
+    return True
 
 
 def stable_multidegree(pG: GraphParameter) -> Multidegree:
@@ -171,9 +193,7 @@ def stable_multidegree(pG: GraphParameter) -> Multidegree:
     """
     G = pG.graph
     tree = rooted_tree(G, G.vertices[0])
-    subtree_sum = {v: pG.value(v) for v in tree.order}
-    for v in reversed(tree.order[1:]):
-        subtree_sum[tree.parent[v][1]] += subtree_sum[v]
+    subtree_sum = tree.totals(pG.values)
 
     walls = [v for v in tree.order[1:] if (subtree_sum[v] - HALF).denominator == 1]
     if walls:

@@ -329,13 +329,11 @@ def extend_to_graph(
         raise GraphMismatch(
             f"graph has (g,n)=({genus(G)},{G.n}) but parameter has ({phi.g},{phi.n})"
         )
-    subtree = {tree.order[0]: Fraction(phi.g - 1)}
-    for v in tree.order[1:]:
+    values = {tree.order[0]: Fraction(phi.g - 1)}
+    for v in tree.order[1:]:  # preorder: a parent's entry is set before its children subtract
         pair, below = tree.cut(v)
-        subtree[v] = phi.phi_plus(pair) if below else phi.phi_minus(pair)
-    values = dict(subtree)
-    for v in tree.order[1:]:
-        values[tree.parent[v][1]] -= subtree[v]
+        values[v] = s = phi.phi_plus(pair) if below else phi.phi_minus(pair)
+        values[tree.parent[v][1]] -= s
     return GraphParameter(G, values)
 
 

@@ -1,23 +1,33 @@
-"""The rank-0 tree pass against a drop-the-edge reference search, on trees of up to 200 vertices."""
+"""The rank-0 tree pass against a drop-the-edge reference search, and the rank-0 semistability
+route against the elementary sides one by one, on trees of up to 200 vertices."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from jacwall import (
     GraphMismatch,
+    GraphParameter,
     MarkedGraph,
     NotTreeLike,
+    TorsionFreeDegree,
     admissible_pairs,
     boundary_pair_of_edge,
     elementary_subgraphs,
     extend_to_graph,
     genus,
+    is_semistable,
+    partial_degree,
+    stability_inequality,
+    stable_multidegree,
 )
 from jacwall.graphs import pair_index, rooted_tree
+from jacwall.stability import HALF
 from testutil import (
     TREE_SHAPES,
     random_parameter,
+    random_sheaf,
     random_tree_graph,
     reference_pair,
     reference_side,
@@ -81,6 +91,73 @@ def test_extend_to_graph_from_three_roots(shape, k):
     for i in G.nonloop_indices:
         side = reference_side(G, i)
         assert pG.subset_sum(side) == phi.phi_plus(reference_pair(G, side))
+
+
+def _sheaves(rng, G, md):
+    """md, md moved across a tree edge, md with a failure on a tree edge and on a loop, random sheaves."""
+    a, b = G.edges[rng.choice(G.nonloop_indices)]
+    moved = dict(md.deg)
+    moved[a] -= 1
+    moved[b] += 1
+    sheaves = [md, TorsionFreeDegree(G, moved)]
+    loop = next(i for i in range(len(G.edges)) if G.is_loop(i))
+    for i in (rng.choice(G.nonloop_indices), loop):
+        norm = dict(md.deg)
+        norm[G.edges[i][rng.randrange(2)]] -= 1
+        sheaves.append(TorsionFreeDegree(G, norm, [i]))
+    return sheaves + [random_sheaf(rng, G, rate) for rate in (0.05, 0.35, 0.35)]
+
+
+def _on_a_wall(rng, G, md, sign):
+    """A parameter summing to md's degree plus sign = +-1/2 over one subtree, and to within 1/2 elsewhere.
+
+    md is semistable for it but not stable.  So is md with a failure on that
+    subtree's parent edge and one degree taken off at the parent's end for
+    sign +1/2, or at the child's end for -1/2; the other end makes it unstable.
+    """
+    tree = rooted_tree(G, G.vertices[0])
+    w = rng.choice(tree.order[1:])
+    sums = {
+        v: partial_degree(md, tree.subtree(v)) + (sign if v == w else Fraction(rng.randint(-4, 4), 10))
+        for v in tree.order[1:]
+    }
+    values = {tree.order[0]: Fraction(genus(G) - 1), **sums}
+    for v in tree.order[1:]:
+        values[tree.parent[v][1]] -= sums[v]
+    i, p = tree.parent[w]
+    sheaves = [TorsionFreeDegree(G, {**md.deg, end: md.deg[end] - 1}, [i]) for end in (p, w)]
+    return GraphParameter(G, values), [md] + sheaves
+
+
+@pytest.mark.parametrize("k", SIZES)
+@pytest.mark.parametrize("shape", TREE_SHAPES)
+def test_is_semistable_tree_route_against_elementary_sides(shape, k):
+    G = _graph(shape, k)
+    rng = random.Random(f"sheaves:{shape}:{k}")
+    pG = extend_to_graph(random_parameter(rng, genus(G), G.n), G)
+    md = stable_multidegree(pG)
+    cases = [(pG, _sheaves(rng, G, md)), _on_a_wall(rng, G, md, HALF), _on_a_wall(rng, G, md, -HALF)]
+    assert any(G.is_loop(i) for F in cases[0][1] for i in F.failures)
+    sides = elementary_subgraphs(G)
+    verdicts = []
+    for pG, sheaves in cases:
+        for F in sheaves:
+            for strict in (False, True):
+                expected = all(stability_inequality(pG, F, side, strict) for side in sides)
+                assert is_semistable(pG, F, strict) == expected
+                verdicts.append(expected)
+    # stable; then on each wall, md and one of the two failures are semistable but not stable
+    assert verdicts[:2] == [True, True]
+    semistable, unstable = [True, False], [False, False]
+    assert verdicts[-12:] == semistable * 2 + unstable + semistable + unstable + semistable
+
+
+def test_is_semistable_on_one_vertex():
+    G = MarkedGraph({"a": 2}, [("a", "a")], {1: "a"})
+    pG = GraphParameter(G, {"a": 2})
+    assert elementary_subgraphs(G) == []
+    for F in (TorsionFreeDegree(G, {"a": 2}), TorsionFreeDegree(G, {"a": 1}, [0])):
+        assert is_semistable(pG, F) and is_semistable(pG, F, strict=True)
 
 
 def test_rooted_tree_errors():

@@ -39,3 +39,15 @@ def test_only_graphs_maps_pairs_to_positions():
     ]
     assert SOURCES, "no library sources found"
     assert found == []
+
+
+def test_library_makes_no_linear_preorder_lookups():
+    # tuple.index is a linear scan; called per vertex it made the rank-0 tree routes O(V^2)
+    found = [
+        f"{path.name}:{lineno}"
+        for path in SOURCES
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "order.index(" in line
+    ]
+    assert SOURCES, "no library sources found"
+    assert found == []
