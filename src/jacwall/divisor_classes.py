@@ -18,8 +18,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import BasisMismatch, InadmissiblePair, NoNegativeDegree
-from .graphs import BoundaryPair, admissible_pairs, check_gn, pair_index
+from .errors import BasisMismatch, NoNegativeDegree
+from .graphs import BoundaryPair, _checked_pair, admissible_pairs, check_gn, pair_index
 from .stability import (
     StabilityParameter,
     _as_fraction,
@@ -197,9 +197,7 @@ def theta_pullback(phi: StabilityParameter, degrees: Sequence[int]) -> DivisorCl
 
 def wall_crossing_single(g: int, n: int, pair: BoundaryPair, d: int) -> DivisorClass:
     """Change of the theta class when crossing one wall, from label d-1 to label d: (d-i) delta_(i,S)."""
-    check_gn(g, n)
-    if not pair.is_admissible(g, n):
-        raise InadmissiblePair(f"pair {pair} is not admissible for (g,n)=({g},{n})")
+    _checked_pair(g, n, pair)
     return DivisorClass(g, n, delta={pair: d - pair.i})
 
 

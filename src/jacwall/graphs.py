@@ -88,7 +88,12 @@ def normalize_pair(g: int, n: int, i: int, markings: Iterable[int]) -> BoundaryP
         raise InadmissiblePair(f"markings {sorted(S)} not contained in 1..{n}")
     if 1 not in S:
         i, S = g - i, all_marks - S
-    pair = BoundaryPair(i, S)
+    return _checked_pair(g, n, BoundaryPair(i, S))
+
+
+def _checked_pair(g: int, n: int, pair: BoundaryPair) -> BoundaryPair:
+    """The pair itself, after checking (g, n) and that the pair is admissible there."""
+    check_gn(g, n)
     if not pair.is_admissible(g, n):
         raise InadmissiblePair(f"pair {pair} is not admissible for (g,n)=({g},{n})")
     return pair
@@ -258,48 +263,39 @@ def contract(G: MarkedGraph, edge_indices: Iterable[int]) -> tuple[MarkedGraph, 
     reproducible.  Edges outside the set are re-routed; parallel edges whose
     endpoints merge are retained as loops.
     """
-    idxs = sorted(set(edge_indices))
-    for i in idxs:
+    idxs = set(edge_indices)
+    for i in sorted(idxs):
         if not 0 <= i < len(G.edges):
             raise InvalidGraph(f"edge index {i} out of range for {len(G.edges)} edges")
 
-    parent = {v: v for v in G.vertices}
-
-    def find(v: str) -> str:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
+    adjacency: dict[str, list[str]] = {v: [] for v in G.vertices}
     for i in idxs:
         a, b = G.edges[i]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
-    members: dict[str, list[str]] = {}
-    for v in G.vertices:
-        members.setdefault(find(v), []).append(v)
-
-    contracted_in_class = {root: 0 for root in members}
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    # Walking from each unlabelled vertex in sorted order labels every class by its smallest id.
+    label: dict[str, str] = {}
+    new_genera: dict[str, int] = {}
+    for root in G.vertices:
+        if root in label:
+            continue
+        label[root] = root
+        new_genera[root] = 1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            new_genera[root] += G.genus_of[v] - 1
+            for w in adjacency[v]:
+                if w not in label:
+                    label[w] = root
+                    stack.append(w)
     for i in idxs:
-        contracted_in_class[find(G.edges[i][0])] += 1
+        new_genera[label[G.edges[i][0]]] += 1
 
-    new_genera = {}
-    for root, group in members.items():
-        extra = contracted_in_class[root] - (len(group) - 1)
-        new_genera[root] = sum(G.genus_of[v] for v in group) + extra
-
-    idx_set = set(idxs)
-    new_edges = [(find(a), find(b)) for i, (a, b) in enumerate(G.edges) if i not in idx_set]
-    new_markings = {j: find(v) for j, v in G.marking_of.items()}
-
+    new_edges = [(label[a], label[b]) for i, (a, b) in enumerate(G.edges) if i not in idxs]
+    new_markings = {j: label[v] for j, v in G.marking_of.items()}
     H = MarkedGraph(new_genera, new_edges, new_markings)
-    vertex_map = {v: find(v) for v in G.vertices}
+    vertex_map = {v: label[v] for v in G.vertices}
     return H, vertex_map
 
 
@@ -400,9 +396,7 @@ def boundary_pair_of_edge(G: MarkedGraph, edge_index: int) -> tuple[BoundaryPair
 
 def two_vertex_graph(g: int, n: int, pair: BoundaryPair) -> MarkedGraph:
     """The two-vertex one-edge graph of type (i, S): genera (i, g-i), markings S on v1."""
-    check_gn(g, n)
-    if not pair.is_admissible(g, n):
-        raise InadmissiblePair(f"pair {pair} is not admissible for (g,n)=({g},{n})")
+    _checked_pair(g, n, pair)
     markings = {j: "v1" if j in pair.S else "v2" for j in range(1, n + 1)}
     return MarkedGraph({"v1": pair.i, "v2": g - pair.i}, [("v1", "v2")], markings)
 
@@ -442,6 +436,13 @@ def _subset_key(subset: frozenset[str]) -> tuple[int, tuple[str, ...]]:
     return (len(subset), tuple(sorted(subset)))
 
 
+def _proper_subsets(G: MarkedGraph):
+    """Every proper nonempty vertex subset, by size and then lexicographically (`_subset_key` order)."""
+    for r in range(1, len(G.vertices)):
+        for combo in itertools.combinations(G.vertices, r):
+            yield frozenset(combo)
+
+
 def _induced_connected(G: MarkedGraph, subset: frozenset[str]) -> bool:
     if not subset:
         return False
@@ -467,16 +468,12 @@ def elementary_subgraphs_bruteforce(G: MarkedGraph) -> list[frozenset[str]]:
     This is the defining enumeration; `elementary_subgraphs` may dispatch to a
     faster equivalent path.
     """
-    verts = G.vertices
-    all_verts = frozenset(verts)
-    found = []
-    for r in range(1, len(verts)):
-        for combo in itertools.combinations(verts, r):
-            subset = frozenset(combo)
-            if _induced_connected(G, subset) and _induced_connected(G, all_verts - subset):
-                found.append(subset)
-    found.sort(key=_subset_key)
-    return found
+    all_verts = frozenset(G.vertices)
+    return [
+        subset
+        for subset in _proper_subsets(G)
+        if _induced_connected(G, subset) and _induced_connected(G, all_verts - subset)
+    ]
 
 
 def elementary_subgraphs(G: MarkedGraph) -> list[frozenset[str]]:
@@ -530,12 +527,9 @@ def _tree_shapes(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``, in lexicographic order."""
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
 
 
 def enumerate_tree_type_graphs(g: int, n: int, max_vertices: int) -> list[MarkedGraph]:

@@ -26,13 +26,14 @@ from .errors import (
 )
 from .graphs import (
     MarkedGraph,
+    _proper_subsets,
     crossing_edge_indices,
     elementary_subgraphs,
     genus,
     loop_free_circuit_rank,
     rooted_tree,
 )
-from .stability import HALF, GraphParameter
+from .stability import HALF, GraphParameter, _wall_hit
 
 
 class TorsionFreeDegree:
@@ -137,13 +138,6 @@ def symmetric_inequality(pG: GraphParameter, F: TorsionFreeDegree, subset: froze
     return lhs < rhs if strict else lhs <= rhs
 
 
-def _all_proper_subsets(G: MarkedGraph):
-    verts = G.vertices
-    for r in range(1, len(verts)):
-        for combo in itertools.combinations(verts, r):
-            yield frozenset(combo)
-
-
 def is_semistable(pG: GraphParameter, F: TorsionFreeDegree, strict: bool = False, mode: str = "elementary") -> bool:
     """Whether the sheaf satisfies the stability bound on every subgraph of the chosen mode.
 
@@ -158,7 +152,7 @@ def is_semistable(pG: GraphParameter, F: TorsionFreeDegree, strict: bool = False
             return _is_semistable_on_tree(pG, F, strict)
         subsets = elementary_subgraphs(pG.graph)
     elif mode == "all":
-        subsets = _all_proper_subsets(pG.graph)
+        subsets = _proper_subsets(pG.graph)
     else:
         raise MalformedInput(f"mode must be 'elementary' or 'all', got {mode!r}")
     return all(stability_inequality(pG, F, subset, strict) for subset in subsets)
@@ -195,7 +189,7 @@ def stable_multidegree(pG: GraphParameter) -> Multidegree:
     tree = rooted_tree(G, G.vertices[0])
     subtree_sum = tree.totals(pG.values)
 
-    walls = [v for v in tree.order[1:] if (subtree_sum[v] - HALF).denominator == 1]
+    walls = [v for v in tree.order[1:] if _wall_hit(subtree_sum[v]) is not None]
     if walls:
         # Name the first wall in breadth-first order: the shallowest, then first in preorder.
         depth = {tree.order[0]: 0}
@@ -204,8 +198,7 @@ def stable_multidegree(pG: GraphParameter) -> Multidegree:
         v = min(walls, key=depth.__getitem__)
         s = subtree_sum[v]
         pair, below = tree.cut(v)
-        phi_plus = s if below else genus(G) - 1 - s
-        d = int(phi_plus - HALF)
+        d = _wall_hit(s if below else genus(G) - 1 - s)
         raise DegenerateParameter(
             f"subtree sum {s} is half-odd: parameter lies on wall H({pair}, d={d})",
             pair=pair,
@@ -224,27 +217,22 @@ def all_stable_multidegrees_bruteforce(pG: GraphParameter, strict: bool = False)
 
     The search box comes from the singleton-subgraph inequalities (degree of
     each vertex within half its non-loop valence of its parameter value),
-    widened by one on each side for safety; candidates summing to g - 1 are
-    filtered by the full-subgraph stability test.  Results are sorted by
-    degree tuple.  This is deliberately independent of `stable_multidegree`.
+    widened by one on each side for safety.  The search runs over the box of
+    every vertex but the last in lexicographic order; the degree sum g - 1
+    fixes the last entry, which must lie in its own box.  Each candidate is
+    filtered by the full-subgraph stability test, so the results come out
+    sorted by degree tuple.  This is deliberately independent of
+    `stable_multidegree` and `is_semistable`.
     """
     G = pG.graph
     verts = G.vertices
     k = len(verts)
     total = genus(G) - 1
-    if k == 1:
-        return [Multidegree(G, {verts[0]: total})]
-
-    nonloop_valence = {v: 0 for v in verts}
-    for i in G.nonloop_indices:
-        a, b = G.edges[i]
-        nonloop_valence[a] += 1
-        nonloop_valence[b] += 1
 
     lo = []
     hi = []
     for v in verts:
-        half_spread = Fraction(nonloop_valence[v], 2)
+        half_spread = Fraction(G.valence[v] - 2 * G.loops_at[v], 2)
         lo.append(math.ceil(pG.value(v) - half_spread) - 1)
         hi.append(math.floor(pG.value(v) + half_spread) + 1)
 
@@ -260,15 +248,7 @@ def all_stable_multidegrees_bruteforce(pG: GraphParameter, strict: bool = False)
             threshold = sum(phi_scaled[i] for i in combo) - (scale // 2) * crossing
             subsets.append((combo, threshold))
 
-    suffix_lo = [0] * (k + 1)
-    suffix_hi = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + lo[i]
-        suffix_hi[i] = suffix_hi[i + 1] + hi[i]
-
-    found: list[tuple[int, ...]] = []
-
-    def admits(degs: list[int]) -> bool:
+    def admits(degs: tuple[int, ...]) -> bool:
         for combo, threshold in subsets:
             s = 0
             for i in combo:
@@ -278,22 +258,9 @@ def all_stable_multidegrees_bruteforce(pG: GraphParameter, strict: bool = False)
                 return False
         return True
 
-    def search(i: int, acc: int, degs: list[int]) -> None:
-        if i == k - 1:
-            d = total - acc
-            if lo[i] <= d <= hi[i]:
-                degs.append(d)
-                if admits(degs):
-                    found.append(tuple(degs))
-                degs.pop()
-            return
-        for d in range(lo[i], hi[i] + 1):
-            rest = total - acc - d
-            if suffix_lo[i + 1] <= rest <= suffix_hi[i + 1]:
-                degs.append(d)
-                search(i + 1, acc + d, degs)
-                degs.pop()
-
-    search(0, 0, [])
-    found.sort()
-    return [Multidegree(G, dict(zip(verts, degs))) for degs in found]
+    found = []
+    for head in itertools.product(*(range(lo[i], hi[i] + 1) for i in range(k - 1))):
+        degs = head + (total - sum(head),)
+        if lo[-1] <= degs[-1] <= hi[-1] and admits(degs):
+            found.append(Multidegree(G, dict(zip(verts, degs))))
+    return found

@@ -287,14 +287,12 @@ def phi_from_slope(
 # -- seeded samplers ---------------------------------------------------------------
 
 
-def random_parameter(
-    rng: random.Random, g: int, n: int, denominator_max: int = 10
-) -> StabilityParameter:
-    """A nondegenerate parameter with coordinates p/q in [-3, 3], q <= denominator_max."""
+def random_parameter(rng: random.Random, g: int, n: int) -> StabilityParameter:
+    """A nondegenerate parameter with coordinates p/q in [-3, 3], q <= 10."""
     coords = []
     for _ in admissible_pairs(g, n):
         while True:
-            q = rng.randint(1, denominator_max)
+            q = rng.randint(1, 10)
             value = Fraction(rng.randint(-3 * q, 3 * q), q)
             if _wall_hit(value) is None:
                 coords.append(value)
@@ -302,12 +300,12 @@ def random_parameter(
     return StabilityParameter._of(g, n, tuple(coords))
 
 
-def random_degrees(rng: random.Random, g: int, n: int, lo: int = -3, hi: int = 4) -> tuple[int, ...]:
-    """A degree vector with entries in [lo, hi] summing to g - 1."""
+def random_degrees(rng: random.Random, g: int, n: int) -> tuple[int, ...]:
+    """A degree vector with entries in [-3, 4] summing to g - 1."""
     while True:
-        degrees = [rng.randint(lo, hi) for _ in range(n)]
+        degrees = [rng.randint(-3, 4) for _ in range(n)]
         degrees[-1] = (g - 1) - sum(degrees[:-1])
-        if lo <= degrees[-1] <= hi:
+        if -3 <= degrees[-1] <= 4:
             return tuple(degrees)
 
 

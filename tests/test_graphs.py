@@ -26,8 +26,8 @@ from jacwall import (
     normalize_pair,
     two_vertex_graph,
 )
-from jacwall.graphs import _tree_code, _tree_shapes
-from testutil import permutation_key
+from jacwall.graphs import _compositions, _tree_code, _tree_shapes
+from testutil import permutation_key, reference_contract
 
 
 def pair(i, *marks):
@@ -175,6 +175,40 @@ def test_contract_preserves_genus_property(data):
     subset = [i for i, keep in enumerate(mask) if keep]
     H, _ = contract(G, subset)
     assert genus(H) == genus(G)
+
+
+def _random_positive_rank_graph(rng: random.Random, k: int) -> MarkedGraph:
+    """A random tree on k >= 2 vertices plus a parallel copy of its first edge and random extra edges and loops."""
+    ids = [f"v{v}" for v in range(k)]
+    edges = [(ids[rng.randrange(v)], ids[v]) for v in range(1, k)]
+    edges.append(edges[0])
+    edges += [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, k))]
+    markings = {j: rng.choice(ids) for j in range(1, rng.randint(1, 3) + 1)}
+    genera = {v: rng.randint(0, 1) for v in ids}
+    for v in ids:
+        special = sum((a == v) + (b == v) for a, b in edges) + list(markings.values()).count(v)
+        if genera[v] == 0 and special < 3:
+            edges.append((v, v))
+    return MarkedGraph(genera, edges, markings)
+
+
+def test_contract_matches_union_find_on_positive_rank():
+    rng = random.Random(73)
+    for _ in range(120):
+        G = _random_positive_rank_graph(rng, rng.randint(2, 7))
+        assert loop_free_circuit_rank(G) > 0
+        edge_count = len(G.edges)
+        loops = [i for i in range(edge_count) if G.is_loop(i)]
+        subsets = [[], list(range(edge_count)), loops]
+        subsets += [rng.sample(range(edge_count), rng.randint(1, edge_count)) for _ in range(5)]
+        for subset in subsets:
+            H, vmap = contract(G, subset)
+            H_ref, ref_map = reference_contract(G, subset)
+            assert H == H_ref
+            assert genus(H) == genus(G) and H.n == G.n
+            assert list(vmap) == list(G.vertices) and vmap == ref_map
+            for v in G.vertices:
+                assert vmap[v] == min(u for u in G.vertices if ref_map[u] == ref_map[v])
 
 
 # -- boundary pairs -------------------------------------------------------------------
@@ -425,6 +459,13 @@ def test_tree_code_separates_labellings():
     path = [(0, 1), (1, 2)]
     assert _tree_code(3, path, [1, 0, 0]) != _tree_code(3, path, [0, 1, 0])
     assert _tree_code(3, path, [1, 0, 0]) == _tree_code(3, path, [0, 0, 1])
+
+
+def test_compositions_are_the_sum_filtered_product():
+    for total in range(5):
+        for parts in range(1, 5):
+            expected = [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
+            assert list(_compositions(total, parts)) == expected
 
 
 # vertex count -> graphs, from perfbench/corpus_counts.json (an enumeration apart from the program)

@@ -116,6 +116,38 @@ def reference_pair(G: MarkedGraph, side: frozenset[str]) -> BoundaryPair:
     return BoundaryPair(i, frozenset(j for j, v in G.marking_of.items() if v in side))
 
 
+def reference_contract(G: MarkedGraph, edge_indices) -> tuple[MarkedGraph, dict[str, str]]:
+    """Contraction by union-find, each class rooted at its smallest id: the graph and the vertex map.
+
+    A class of m vertices holding c contracted edges gets genus sum(g_v) + c - (m - 1).
+    """
+    parent = {v: v for v in G.vertices}
+
+    def find(v: str) -> str:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    contracted = set(edge_indices)
+    for i in contracted:
+        a, b = sorted(map(find, G.edges[i]))
+        parent[b] = a
+    vertex_map = {v: find(v) for v in G.vertices}
+    members: dict[str, list[str]] = {}
+    for v, root in vertex_map.items():
+        members.setdefault(root, []).append(v)
+    inside = dict.fromkeys(members, 0)
+    for i in contracted:
+        inside[vertex_map[G.edges[i][0]]] += 1
+    genera = {
+        root: sum(G.genus_of[v] for v in group) + inside[root] - (len(group) - 1)
+        for root, group in members.items()
+    }
+    edges = [(vertex_map[a], vertex_map[b]) for i, (a, b) in enumerate(G.edges) if i not in contracted]
+    markings = {j: vertex_map[v] for j, v in G.marking_of.items()}
+    return MarkedGraph(genera, edges, markings), vertex_map
+
+
 def permutation_key(G: MarkedGraph) -> tuple:
     """Isomorphism key of a marked graph: the minimum over all vertex renumberings.
 
