@@ -99,22 +99,20 @@ def _add_phi_source(parser: argparse.ArgumentParser, required: bool) -> None:
     )
 
 
-def _parameter_file(path: str, g: int, n: int):
-    phi = jsonio.parameter_from_json(_load_json(path))
-    if (phi.g, phi.n) != (g, n):
-        raise MalformedInput(f"parameter file has (g,n)=({phi.g},{phi.n}), expected ({g},{n})")
-    return phi
+def _gn_file(path: str, decode, noun: str, g: int, n: int):
+    """Decode a JSON file holding a parameter or a label, which must live over (g, n)."""
+    found = decode(_load_json(path))
+    if (found.g, found.n) != (g, n):
+        raise MalformedInput(f"{noun} file has (g,n)=({found.g},{found.n}), expected ({g},{n})")
+    return found
 
 
 def _resolve_phi(args, g: int, n: int):
     if args.phi:
-        return _parameter_file(args.phi, g, n)
+        return _gn_file(args.phi, jsonio.parameter_from_json, "parameter", g, n)
     if args.from_degrees:
         return phi_from_degrees(g, n, _parse_int_list(args.from_degrees))
-    label = jsonio.label_from_json(_load_json(args.from_label))
-    if (label.g, label.n) != (g, n):
-        raise MalformedInput(f"label file has (g,n)=({label.g},{label.n}), expected ({g},{n})")
-    return phi_from_label(label)
+    return phi_from_label(_gn_file(args.from_label, jsonio.label_from_json, "label", g, n))
 
 
 def _phi_from_spec(spec: str, g: int, n: int):
@@ -131,7 +129,7 @@ def _phi_from_spec(spec: str, g: int, n: int):
         return phi_from_label(PolytopeLabel(g, n, dict(zip(pairs, values))))
     if spec == "canonical":
         return canonical_parameter(g, n)
-    return _parameter_file(spec.removeprefix("file:"), g, n)
+    return _gn_file(spec.removeprefix("file:"), jsonio.parameter_from_json, "parameter", g, n)
 
 
 def _class_rows(g: int, n: int, columns: list[tuple[str, DivisorClass]]) -> list[tuple[str, ...]]:
@@ -274,58 +272,45 @@ def _cmd_compare(args) -> int:
 def _cmd_check(args) -> int:
     if (args.g is None) != (args.n is None):
         raise MalformedInput("--g and --n must be given together")
+    if args.trials < 0:
+        raise MalformedInput(f"--trials must be a nonnegative integer, got {args.trials}")
+    if args.max_vertices < 1:
+        raise MalformedInput(f"--max-vertices must be a positive integer, got {args.max_vertices}")
     seed_text = os.environ.get("JACWALL_SEED", "0")
     seed = jsonio.parse_int_text(seed_text, f"JACWALL_SEED must be an integer, got {seed_text!r}")
     rng = random.Random(seed)
     gn_list = [(args.g, args.n)] if args.g is not None else [(1, 2), (2, 1), (2, 2)]
-    trials = args.trials
-    failures = []
 
-    def report(name: str, ok: bool, cases: int) -> None:
-        print(f"{'PASS' if ok else 'FAIL'} {name} ({cases} cases)")
-        if not ok:
-            failures.append(name)
-
-    ok = True
-    cases = 0
-    for g, n in gn_list:
-        for _ in range(trials):
-            phi1 = random_parameter(rng, g, n)
-            phi2 = random_parameter(rng, g, n)
+    def wall_crossing_cases(g: int, n: int):
+        for _ in range(args.trials):
+            phi1, phi2 = random_parameter(rng, g, n), random_parameter(rng, g, n)
             degrees = random_degrees(rng, g, n)
-            lhs = theta_pullback(phi2, degrees) - theta_pullback(phi1, degrees)
-            ok = ok and lhs == wall_crossing(phi1, phi2)
-            cases += 1
-    report("wall-crossing consistency", ok, cases)
+            yield theta_pullback(phi2, degrees) - theta_pullback(phi1, degrees) == wall_crossing(phi1, phi2)
 
-    ok = True
-    cases = 0
-    for g, n in gn_list:
-        for _ in range(trials):
-            degrees = random_degrees(rng, g, n)
-            ok = ok and all(holds for _, holds in class_identities(g, n, degrees))
-            cases += 1
-    report("class identities", ok, cases)
+    def identity_cases(g: int, n: int):
+        for _ in range(args.trials):
+            yield all(holds for _, holds in class_identities(g, n, random_degrees(rng, g, n)))
 
-    ok = True
-    cases = 0
-    for g, n in gn_list:
+    def multidegree_cases(g: int, n: int):
         corpus = enumerate_tree_type_graphs(g, n, args.max_vertices)
-        sample = corpus if len(corpus) <= 25 else rng.sample(corpus, 25)
-        for G in sample:
-            phi = random_parameter(rng, g, n)
-            pG = extend_to_graph(phi, G)
+        for G in corpus if len(corpus) <= 25 else rng.sample(corpus, 25):
+            pG = extend_to_graph(random_parameter(rng, g, n), G)
             strict = all_stable_multidegrees_bruteforce(pG, strict=True)
-            ok = ok and strict == [stable_multidegree(pG)]
-            ok = ok and all(
+            yield strict == [stable_multidegree(pG)] and all(
                 is_semistable(pG, found, strict=True, mode="elementary") for found in strict
             )
-            cases += 1
-    report("unique stable multidegree", ok, cases)
 
-    if failures:
-        return EXIT_FAIL
-    return EXIT_OK
+    # The draws come sweep by sweep, then (g, n) by (g, n), so one JACWALL_SEED gives one run.
+    verdicts = []
+    for name, cases in (
+        ("wall-crossing consistency", wall_crossing_cases),
+        ("class identities", identity_cases),
+        ("unique stable multidegree", multidegree_cases),
+    ):
+        results = [ok for g, n in gn_list for ok in cases(g, n)]
+        verdicts.append(all(results))
+        print(f"{'PASS' if verdicts[-1] else 'FAIL'} {name} ({len(results)} cases)")
+    return EXIT_OK if all(verdicts) else EXIT_FAIL
 
 
 # -- parser ------------------------------------------------------------------------------

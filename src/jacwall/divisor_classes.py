@@ -68,7 +68,7 @@ class DivisorClass:
         coeffs = [Fraction(0)] * (n + 2 + len(admissible_pairs(g, n)))
         coeffs[0] = _as_fraction(lam)
         for j, c in (psi or {}).items():
-            if not isinstance(j, int) or not 1 <= j <= n:
+            if type(j) is not int or not 1 <= j <= n:  # type, not isinstance: bool is an int
                 raise BasisMismatch(f"psi index must lie in 1..{n}, got {j!r}")
             coeffs[j] = _as_fraction(c)
         coeffs[n + 1] = _as_fraction(delta_irr)
@@ -108,7 +108,7 @@ class DivisorClass:
         return MappingProxyType({p: c for p, c in zip(pairs, self.coeffs[self.n + 2 :]) if c})
 
     def psi_coeff(self, j: int) -> Fraction:
-        if not isinstance(j, int) or not 1 <= j <= self.n:
+        if type(j) is not int or not 1 <= j <= self.n:
             raise BasisMismatch(f"psi index must lie in 1..{self.n}, got {j!r}")
         return self.coeffs[j]
 

@@ -47,11 +47,11 @@ class BoundaryPair:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "S", frozenset(self.S))
-        if not all(isinstance(j, int) and j >= 1 for j in self.S):
+        if not all(type(j) is int and j >= 1 for j in self.S):  # type, not isinstance: bool is an int
             raise InadmissiblePair(f"markings must be positive integers, got {sorted(self.S)}")
         if 1 not in self.S:
             raise InadmissiblePair(f"marking 1 must lie on the S side, got S={sorted(self.S)}")
-        if not isinstance(self.i, int) or self.i < 0:
+        if type(self.i) is not int or self.i < 0:
             raise InadmissiblePair(f"side genus must be a nonnegative integer, got i={self.i!r}")
 
     def is_admissible(self, g: int, n: int) -> bool:
@@ -82,6 +82,8 @@ def normalize_pair(g: int, n: int, i: int, markings: Iterable[int]) -> BoundaryP
     Raises InadmissiblePair when the normalized pair is not admissible.
     """
     check_gn(g, n)
+    if type(i) is not int:  # before the complement below turns a bool into an int
+        raise InadmissiblePair(f"side genus must be a nonnegative integer, got i={i!r}")
     S = frozenset(markings)
     all_marks = frozenset(range(1, n + 1))
     if not S <= all_marks:
@@ -148,35 +150,27 @@ class MarkedGraph:
         if set(marking_of) != set(range(1, n + 1)) or n < 1:
             raise InvalidGraph(f"markings must be exactly 1..n, got {sorted(marking_of)}")
 
-        self._genus_of = genus_of
+        self.genus_of: Mapping[str, int] = MappingProxyType(genus_of)
         self.edges: tuple[Edge, ...] = tuple(edge_list)
-        self._marking_of = marking_of
+        self.marking_of: Mapping[int, str] = MappingProxyType(marking_of)
 
         self._check_connected()
         self._check_stable()
 
     # -- derived views ------------------------------------------------------
 
-    @property
-    def genus_of(self) -> Mapping[str, int]:
-        return MappingProxyType(self._genus_of)
-
-    @property
-    def marking_of(self) -> Mapping[int, str]:
-        return MappingProxyType(self._marking_of)
-
     @cached_property
     def vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(self._genus_of))
+        return tuple(sorted(self.genus_of))
 
     @property
     def n(self) -> int:
-        return len(self._marking_of)
+        return len(self.marking_of)
 
     @cached_property
     def valence(self) -> Mapping[str, int]:
         """Incident edge count per vertex, loops counted twice."""
-        val = {v: 0 for v in self._genus_of}
+        val = {v: 0 for v in self.genus_of}
         for a, b in self.edges:
             val[a] += 1
             val[b] += 1
@@ -184,7 +178,7 @@ class MarkedGraph:
 
     @cached_property
     def loops_at(self) -> Mapping[str, int]:
-        counts = {v: 0 for v in self._genus_of}
+        counts = {v: 0 for v in self.genus_of}
         for a, b in self.edges:
             if a == b:
                 counts[a] += 1
@@ -196,8 +190,8 @@ class MarkedGraph:
 
     @cached_property
     def markings_at(self) -> Mapping[str, int]:
-        counts = {v: 0 for v in self._genus_of}
-        for v in self._marking_of.values():
+        counts = {v: 0 for v in self.genus_of}
+        for v in self.marking_of.values():
             counts[v] += 1
         return MappingProxyType(counts)
 
@@ -208,11 +202,11 @@ class MarkedGraph:
     # -- validation ---------------------------------------------------------
 
     def _check_connected(self) -> None:
-        if not _induced_connected(self, frozenset(self._genus_of)):
+        if not _induced_connected(self, frozenset(self.genus_of)):
             raise InvalidGraph("graph is not connected")
 
     def _check_stable(self) -> None:
-        for v, gv in self._genus_of.items():
+        for v, gv in self.genus_of.items():
             if gv == 0 and self.valence[v] + self.markings_at[v] < 3:
                 raise InvalidGraph(
                     f"unstable: genus-0 vertex {v} has valence {self.valence[v]} "
@@ -222,7 +216,7 @@ class MarkedGraph:
     # -- value semantics ----------------------------------------------------
 
     def _key(self):
-        return (tuple(sorted(self._genus_of.items())), self.edges, tuple(sorted(self._marking_of.items())))
+        return (tuple(sorted(self.genus_of.items())), self.edges, tuple(sorted(self.marking_of.items())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MarkedGraph):
@@ -233,7 +227,7 @@ class MarkedGraph:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        genera = ",".join(f"{v}:{g}" for v, g in sorted(self._genus_of.items()))
+        genera = ",".join(f"{v}:{g}" for v, g in sorted(self.genus_of.items()))
         return f"MarkedGraph({genera}; edges={list(self.edges)}; n={self.n})"
 
 
@@ -405,16 +399,10 @@ def two_vertex_graph(g: int, n: int, pair: BoundaryPair) -> MarkedGraph:
 def admissible_pairs(g: int, n: int) -> tuple[BoundaryPair, ...]:
     """All admissible pairs (i, S) in canonical order (by i, then S as a bitmask)."""
     check_gn(g, n)
-    rest = range(2, n + 1)
-    pairs = []
-    for i in range(g + 1):
-        for r in range(n):
-            for extra in itertools.combinations(rest, r):
-                pair = BoundaryPair(i, frozenset((1,) + extra))
-                if pair.is_admissible(g, n):
-                    pairs.append(pair)
-    pairs.sort(key=lambda p: p.sort_key)
-    return tuple(pairs)
+    # The odd bitmasks are the sides S holding marking 1; increasing, they give the sort_key order.
+    sides = [frozenset(j + 1 for j in range(n) if mask >> j & 1) for mask in range(1, 1 << n, 2)]
+    pairs = (BoundaryPair(i, S) for i in range(g + 1) for S in sides)
+    return tuple(pair for pair in pairs if pair.is_admissible(g, n))
 
 
 @lru_cache(typed=True)

@@ -38,10 +38,7 @@ def parse_rational(value) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical string form: plain integer when q = 1, else 'p/q' reduced with q > 0."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def parse_int_text(text, message: str) -> int:
@@ -138,23 +135,23 @@ def _gn_from_json(obj) -> tuple[int, int]:
     return parse_int(obj.get("g")), parse_int(obj.get("n"))
 
 
-def _new_pair(entry, g: int, n: int, seen) -> BoundaryPair:
-    """The pair of a coordinate entry, rejected if it (or its complement spelling) is in seen."""
-    pair = pair_from_json(entry, g, n)
-    if pair in seen:
-        raise MalformedInput(f"pair {pair} is given twice")
-    return pair
+def _pair_entries(entries, what: str, entry_what: str, key: str, parse_value, g: int, n: int) -> dict:
+    """Read a list of {"i", "S", key} objects into {pair: value}, rejecting a pair in either spelling twice."""
+    by_pair = {}
+    for entry in _expect_list(entries, what):
+        entry = _expect_object(entry, entry_what)
+        pair = pair_from_json(entry, g, n)
+        if pair in by_pair:
+            raise MalformedInput(f"pair {pair} is given twice")
+        by_pair[pair] = parse_value(entry.get(key))
+    return by_pair
 
 
 def parameter_from_json(obj) -> StabilityParameter:
     """Decode {"g", "n", "coords": [{"i", "S", "phi_plus"}]}."""
     obj = _expect_object(obj, "parameter")
     g, n = _gn_from_json(obj)
-    coords = {}
-    for entry in _expect_list(obj.get("coords"), "parameter.coords"):
-        entry = _expect_object(entry, "coordinate")
-        pair = _new_pair(entry, g, n, coords)
-        coords[pair] = parse_rational(entry.get("phi_plus"))
+    coords = _pair_entries(obj.get("coords"), "parameter.coords", "coordinate", "phi_plus", parse_rational, g, n)
     try:
         return StabilityParameter(g, n, coords)
     except JacwallError as exc:
@@ -176,11 +173,7 @@ def label_from_json(obj) -> PolytopeLabel:
     """Decode {"g", "n", "label": [{"i", "S", "d"}]}."""
     obj = _expect_object(obj, "label")
     g, n = _gn_from_json(obj)
-    label = {}
-    for entry in _expect_list(obj.get("label"), "label.label"):
-        entry = _expect_object(entry, "label entry")
-        pair = _new_pair(entry, g, n, label)
-        label[pair] = parse_int(entry.get("d"))
+    label = _pair_entries(obj.get("label"), "label.label", "label entry", "d", parse_int, g, n)
     try:
         return PolytopeLabel(g, n, label)
     except JacwallError as exc:
@@ -246,11 +239,7 @@ def class_from_json(obj) -> DivisorClass:
         if j in psi:
             raise MalformedInput(f"psi_{j} is given twice")
         psi[j] = parse_rational(c)
-    delta = {}
-    for entry in _expect_list(obj.get("delta", []), "class.delta"):
-        entry = _expect_object(entry, "delta entry")
-        pair = _new_pair(entry, g, n, delta)
-        delta[pair] = parse_rational(entry.get("c"))
+    delta = _pair_entries(obj.get("delta", []), "class.delta", "delta entry", "c", parse_rational, g, n)
     try:
         return DivisorClass(
             g,

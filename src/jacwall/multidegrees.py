@@ -53,7 +53,7 @@ class TorsionFreeDegree:
                 raise DegreeSumMismatch(f"degrees must be integers, got {d!r} at {v}")
         fail = frozenset(failures)
         for i in fail:
-            if not isinstance(i, int) or not 0 <= i < len(graph.edges):
+            if type(i) is not int or not 0 <= i < len(graph.edges):  # type, not isinstance: bool is an int
                 raise InvalidGraph(f"failure index {i!r} out of range for {len(graph.edges)} edges")
         target = genus(graph) - 1
         if sum(values.values()) + len(fail) != target:
@@ -62,24 +62,18 @@ class TorsionFreeDegree:
                 f" got {sum(values.values())} + {len(fail)}"
             )
         self.graph = graph
-        self._norm_deg = values
+        self.norm_deg = self.deg = MappingProxyType(values)
         self.failures = fail
 
-    @property
-    def norm_deg(self) -> Mapping[str, int]:
-        return MappingProxyType(self._norm_deg)
-
-    deg = norm_deg
-
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self._norm_deg[v] for v in self.graph.vertices)
+        return tuple(self.norm_deg[v] for v in self.graph.vertices)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorsionFreeDegree):
             return NotImplemented
         return (
             self.graph == other.graph
-            and self._norm_deg == other._norm_deg
+            and self.norm_deg == other.norm_deg
             and self.failures == other.failures
         )
 
@@ -87,7 +81,7 @@ class TorsionFreeDegree:
         return hash((self.graph, self.as_tuple(), self.failures))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v}:{self._norm_deg[v]}" for v in self.graph.vertices)
+        inner = ", ".join(f"{v}:{self.norm_deg[v]}" for v in self.graph.vertices)
         return f"TorsionFreeDegree({{{inner}}}, failures={sorted(self.failures)})"
 
 
@@ -143,7 +137,9 @@ def is_semistable(pG: GraphParameter, F: TorsionFreeDegree, strict: bool = False
 
     mode="elementary" checks only subgraphs with connected complement on both
     sides, which suffices, in one O(V) subtree-sum pass at rank 0; mode="all",
-    and rank > 0, enumerate vertex subsets.  The two modes agree on all inputs.
+    and rank > 0, enumerate vertex subsets.  The two modes agree on all inputs;
+    tests/test_multidegrees.py checks that at rank 0 and, in
+    test_elementary_equals_all_modes_on_positive_rank, at rank > 0.
     """
     if F.graph != pG.graph:
         raise GraphMismatch("sheaf and parameter live on different graphs")

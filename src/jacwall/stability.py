@@ -152,25 +152,21 @@ class GraphParameter:
         if total != target:
             raise InvalidParameter(f"values must sum to g-1 = {target}, got {total}")
         self.graph = graph
-        self._values = vals
-
-    @property
-    def values(self) -> Mapping[str, Fraction]:
-        return MappingProxyType(self._values)
+        self.values: Mapping[str, Fraction] = MappingProxyType(vals)
 
     def value(self, v: str) -> Fraction:
-        return self._values[v]
+        return self.values[v]
 
     def subset_sum(self, subset: Iterable[str]) -> Fraction:
-        return sum((self._values[v] for v in subset), Fraction(0))
+        return sum((self.values[v] for v in subset), Fraction(0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphParameter):
             return NotImplemented
-        return self.graph == other.graph and self._values == other._values
+        return self.graph == other.graph and self.values == other.values
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v}:{self._values[v]}" for v in self.graph.vertices)
+        inner = ", ".join(f"{v}:{self.values[v]}" for v in self.graph.vertices)
         return f"GraphParameter({{{inner}}})"
 
 
@@ -273,7 +269,7 @@ def phi_from_slope(
     M = dict(M or {})
     for v in G.vertices:
         a = A.get(v)
-        if not isinstance(a, int) or a <= 0:
+        if type(a) is not int or a <= 0:  # type, not isinstance: bool is an int
             raise NonAmple(f"polarization must be a positive integer on every vertex, got {a!r} at {v}")
     deg_a = sum(A[v] for v in G.vertices)
     deg_m = sum(M.get(v, 0) for v in G.vertices)

@@ -111,6 +111,18 @@ def test_stable_degree_path(tmp_path, capsys):
     assert "verified: true" in out
 
 
+def test_stable_degree_verify_json(tmp_path, capsys, monkeypatch):
+    args = ["stable-degree", "--graph", write(tmp_path, "graph.json", PATH_GRAPH)]
+    args += ["--phi", write(tmp_path, "phi.json", PHI_32), "--verify", "--json"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    monkeypatch.setattr(cli, "all_stable_multidegrees_bruteforce", lambda pG, strict: [])
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["verified"] is False
+    assert err == "error: brute force disagrees with the tree solver\n"
+
+
 def test_stable_degree_two_vertex_from_degrees(tmp_path, capsys):
     graph = write(
         tmp_path,
@@ -332,6 +344,19 @@ def test_parameter_file_for_other_gn_exits_2(tmp_path, capsys):
         assert expected in capsys.readouterr().err
 
 
+def test_label_file_for_other_gn_exits_2(tmp_path, capsys):
+    label = {"g": 2, "n": 2, "label": [{"i": 0, "S": [1, 2], "d": 0}, {"i": 1, "S": [1], "d": 1}]}
+    label["label"].append({"i": 1, "S": [1, 2], "d": 1})
+    path = write(tmp_path, "label22.json", label)
+    assert main(["polytope", "--g", "3", "--n", "2", "--from-label", path]) == 2
+    assert capsys.readouterr().err == "error: label file has (g,n)=(2,2), expected (3,2)\n"
+
+
+def test_label_spec_of_wrong_length_exits_2(capsys):
+    assert main(["wall-cross", "--g", "2", "--n", "2", "--phi1", "label:0,1", "--phi2", "label:0,1,1"]) == 2
+    assert capsys.readouterr().err == "error: label spec needs 3 entries for (g,n)=(2,2), got 2\n"
+
+
 @pytest.mark.parametrize("seed", ["abc", "1_0", ""])
 def test_check_rejects_bad_seed(seed, capsys, monkeypatch):
     monkeypatch.setenv("JACWALL_SEED", seed)
@@ -347,6 +372,48 @@ def test_check_runs_clean(capsys, monkeypatch):
     assert main(["check", "--trials", "3", "--max-vertices", "2"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3 and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--trials", "-3", "--trials must be a nonnegative integer, got -3"),
+        ("--max-vertices", "-1", "--max-vertices must be a positive integer, got -1"),
+        ("--max-vertices", "0", "--max-vertices must be a positive integer, got 0"),
+    ],
+    ids=["negative-trials", "negative-max-vertices", "zero-max-vertices"],
+)
+def test_check_rejects_bad_counts_before_any_output(flag, value, message, capsys):
+    # --trials -3 used to pass with 0 cases; --max-vertices -1 failed only after two sweeps had printed
+    assert main(["check", "--trials", "1", "--max-vertices", "2", flag, value]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_check_with_zero_trials_runs_the_corpus_sweep(capsys, monkeypatch):
+    monkeypatch.setenv("JACWALL_SEED", "7")
+    assert main(["check", "--trials", "0", "--max-vertices", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "PASS wall-crossing consistency (0 cases)\n"
+        "PASS class identities (0 cases)\n"
+        "PASS unique stable multidegree (25 cases)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, fake, failing",
+    [
+        ("wall_crossing", lambda phi1, phi2: None, 0),
+        ("class_identities", lambda g, n, degrees: [("forced", False)], 1),
+        ("stable_multidegree", lambda pG: None, 2),
+    ],
+)
+def test_check_reports_a_forced_failure(name, fake, failing, capsys, monkeypatch):
+    monkeypatch.setenv("JACWALL_SEED", "7")
+    monkeypatch.setattr(cli, name, fake)
+    assert main(["check", "--trials", "2", "--max-vertices", "2"]) == 1
+    sweeps = ["wall-crossing consistency (6", "class identities (6", "unique stable multidegree (25"]
+    expected = [f"{'FAIL' if k == failing else 'PASS'} {sweep} cases)\n" for k, sweep in enumerate(sweeps)]
+    assert capsys.readouterr() == ("".join(expected), "")
 
 
 def test_check_seed_determinism(capsys, monkeypatch):

@@ -82,6 +82,14 @@ def test_class_rejects_bad_basis_keys():
         DivisorClass(2, 2).psi_coeff(5)
 
 
+def test_bool_is_not_a_psi_index():
+    # True == 1, so a bool key used to read and write psi_1
+    with pytest.raises(BasisMismatch):
+        DivisorClass(2, 2, psi={True: F(1)})
+    with pytest.raises(BasisMismatch):
+        DivisorClass(2, 2, psi={1: F(1)}).psi_coeff(True)
+
+
 def test_class_algebra_examples():
     a = DivisorClass(2, 2, lam=-1, psi={1: F(6)})
     b = DivisorClass(2, 2, delta_irr=F(1, 8))

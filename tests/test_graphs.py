@@ -323,6 +323,16 @@ def test_normalize_pair_flips_side():
         normalize_pair(2, 2, 2, {1})  # would need #S <= n-2
 
 
+def test_bools_are_not_pair_indices():
+    # True == 1 and hash(True) == hash(1): accepted, (True,{True}) printed as such yet equal to (1,{1})
+    for i, marks in ((True, [1]), (True, [2]), (1, [True]), (False, [1, 2])):
+        with pytest.raises(InadmissiblePair):
+            normalize_pair(2, 2, i, marks)
+    with pytest.raises(InadmissiblePair):
+        BoundaryPair(True, {True})
+    assert normalize_pair(2, 2, 1, [2]) == BoundaryPair(1, {1})
+
+
 def test_invalid_gn():
     with pytest.raises(InvalidGN):
         admissible_pairs(0, 2)

@@ -166,6 +166,24 @@ def test_label_rejects_repeated_pair():
         label_from_json({"g": 2, "n": 2, "label": entries + [{"i": 1, "S": [2], "d": 2}]})
 
 
+@pytest.mark.parametrize(
+    "decode, obj, message",
+    [
+        (parameter_from_json, {"coords": {}}, "parameter.coords must be a JSON array, got dict"),
+        (label_from_json, {"label": "x"}, "label.label must be a JSON array, got str"),
+        (class_from_json, {"delta": 3}, "class.delta must be a JSON array, got int"),
+        (parameter_from_json, {"coords": [None]}, "coordinate must be a JSON object, got NoneType"),
+        (label_from_json, {"label": [[1]]}, "label entry must be a JSON object, got list"),
+        (class_from_json, {"delta": ["x"]}, "delta entry must be a JSON object, got str"),
+        (label_from_json, {"label": [{"i": 1, "S": [1], "d": 1}]}, "invalid label: label must cover exactly"),
+    ],
+)
+def test_pair_entry_lists_name_the_bad_part(decode, obj, message):
+    with pytest.raises(MalformedInput) as info:
+        decode({"g": 2, "n": 2, **obj})
+    assert str(info.value).startswith(message)
+
+
 def test_label_round_trip():
     lab = PolytopeLabel(2, 2, dict(zip(admissible_pairs(2, 2), [0, 1, 1])))
     assert label_from_json(label_to_json(lab)) == lab

@@ -11,6 +11,7 @@ from jacwall import (
     EmptySubset,
     GraphMismatch,
     GraphParameter,
+    InvalidGraph,
     MalformedInput,
     MarkedGraph,
     Multidegree,
@@ -32,6 +33,7 @@ from jacwall import (
     two_vertex_graph,
 )
 from jacwall.multidegrees import failure_crossings
+from test_graphs import _random_positive_rank_graph
 from testutil import GN_SET, random_parameter, random_sheaf
 
 F = Fraction
@@ -78,6 +80,13 @@ def test_torsion_free_validates_total(tv):
     TorsionFreeDegree(tv, {"v1": 0, "v2": 0}, [0])
     with pytest.raises(DegreeSumMismatch):
         TorsionFreeDegree(tv, {"v1": 0, "v2": 0}, [])
+
+
+def test_torsion_free_rejects_bool_failure_index(path111):
+    # True would name edge 1 and print as failures=[True]
+    assert TorsionFreeDegree(path111, {"v1": 1, "v2": 0, "v3": 0}, [1]).failures == {1}
+    with pytest.raises(InvalidGraph, match="failure index True"):
+        TorsionFreeDegree(path111, {"v1": 1, "v2": 0, "v3": 0}, [True])
 
 
 # -- partial degrees ---------------------------------------------------------------
@@ -161,6 +170,25 @@ def test_elementary_equals_all_modes(corpus3):
                     assert is_semistable(pG, F_sheaf, strict, "elementary") == is_semistable(
                         pG, F_sheaf, strict, "all"
                     )
+
+
+def test_elementary_equals_all_modes_on_positive_rank():
+    # At rank > 0 mode="elementary" tests the elementary subgraphs, not the one-pass tree route.
+    rng = random.Random(59)
+    outcomes = set()
+    for _ in range(120):
+        G = _random_positive_rank_graph(rng, rng.randint(2, 6))
+        for failure_rate in (0.0, 0.0, 0.35, 0.35):
+            F_sheaf = random_sheaf(rng, G, failure_rate)
+            # a parameter near the degrees, so that semistable sheaves are common
+            values = {v: F_sheaf.norm_deg[v] + F(rng.randint(-6, 6), 8) for v in G.vertices[:-1]}
+            values[G.vertices[-1]] = genus(G) - 1 - sum(values.values())
+            pG = GraphParameter(G, values)
+            for strict in (False, True):
+                found = is_semistable(pG, F_sheaf, strict, "elementary")
+                assert found == is_semistable(pG, F_sheaf, strict, "all")
+                outcomes.add((bool(F_sheaf.failures), found))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_symmetric_form_equals_two_sided_bound(corpus3):

@@ -231,6 +231,12 @@ def test_phi_from_slope_examples():
         phi_from_slope(G, {"v1": 1, "v2": 0})
 
 
+def test_phi_from_slope_rejects_bool_polarization():
+    G = two_vertex_graph(2, 2, pair(1, 1))
+    with pytest.raises(NonAmple, match="got True at v1"):
+        phi_from_slope(G, {"v1": True, "v2": 2})
+
+
 def test_phi_from_slope_without_twist_is_half_dualizing(corpus3):
     rng = random.Random(3)
     for graphs in corpus3.values():
