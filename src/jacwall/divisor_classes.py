@@ -49,9 +49,9 @@ def basis_labels(g: int, n: int) -> tuple[str, ...]:
 class DivisorClass:
     """A rational coefficient vector over {lambda, psi_1..psi_n, delta_irr, delta_(i,S)}.
 
-    ``coeffs`` holds every coefficient, zeros included, in the order of
-    ``basis_labels(g, n)``, so equality is coefficientwise.  Instances are
-    immutable; arithmetic returns new values.
+    ``coeffs`` holds every coefficient, zeros included, in ``basis_labels(g, n)``
+    order, so equality is coefficientwise; each is given as an int or a Fraction.
+    Instances are immutable; arithmetic returns new values.
     """
 
     def __init__(
@@ -68,7 +68,7 @@ class DivisorClass:
         coeffs = [Fraction(0)] * (n + 2 + len(admissible_pairs(g, n)))
         coeffs[0] = _as_fraction(lam)
         for j, c in (psi or {}).items():
-            if type(j) is not int or not 1 <= j <= n:  # type, not isinstance: bool is an int
+            if type(j) is not int or not 1 <= j <= n:
                 raise BasisMismatch(f"psi index must lie in 1..{n}, got {j!r}")
             coeffs[j] = _as_fraction(c)
         coeffs[n + 1] = _as_fraction(delta_irr)
@@ -228,7 +228,6 @@ def stable_pairs_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
     equals the theta pullback for every parameter whose polytope touches the
     canonical one.
     """
-    check_gn(g, n)
     degrees = _check_degrees(g, n, degrees)
     delta = (-binom2(degree_sum(degrees, pair) - pair.i + 1) for pair in admissible_pairs(g, n))
     return _theta_form(g, n, degrees, delta)
@@ -240,7 +239,6 @@ def hain_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
 
 
 def _check_negative_degrees(g: int, n: int, degrees: Sequence[int]) -> tuple[int, ...]:
-    check_gn(g, n)
     degrees = _check_degrees(g, n, degrees)
     if not any(d < 0 for d in degrees):
         raise NoNegativeDegree(f"at least one degree must be negative, got {degrees}")

@@ -47,7 +47,7 @@ class BoundaryPair:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "S", frozenset(self.S))
-        if not all(type(j) is int and j >= 1 for j in self.S):  # type, not isinstance: bool is an int
+        if not all(type(j) is int and j >= 1 for j in self.S):
             raise InadmissiblePair(f"markings must be positive integers, got {sorted(self.S)}")
         if 1 not in self.S:
             raise InadmissiblePair(f"marking 1 must lie on the S side, got S={sorted(self.S)}")
@@ -125,7 +125,7 @@ class MarkedGraph:
         for v, gv in genus_of.items():
             if not isinstance(v, str) or not v:
                 raise InvalidGraph(f"vertex ids must be nonempty strings, got {v!r}")
-            if isinstance(gv, bool) or not isinstance(gv, int) or gv < 0:
+            if type(gv) is not int or gv < 0:
                 raise InvalidGraph(f"genus of {v} must be a nonnegative integer, got {gv!r}")
 
         edge_list: list[Edge] = []
@@ -141,7 +141,7 @@ class MarkedGraph:
 
         marking_of = {}
         for j, v in dict(markings).items():
-            if isinstance(j, bool) or not isinstance(j, int):
+            if type(j) is not int:
                 raise InvalidGraph(f"marking labels must be integers, got {j!r}")
             if not isinstance(v, str) or v not in genus_of:
                 raise InvalidGraph(f"marking {j} placed on unknown vertex {v!r}")
@@ -529,7 +529,7 @@ def enumerate_tree_type_graphs(g: int, n: int, max_vertices: int) -> list[Marked
     enumeration cost grows quickly with ``max_vertices``.
     """
     check_gn(g, n)
-    if isinstance(max_vertices, bool) or not isinstance(max_vertices, int) or max_vertices < 1:
+    if type(max_vertices) is not int or max_vertices < 1:
         raise InvalidGN(f"max_vertices must be a positive integer, got {max_vertices!r}")
 
     out: list[MarkedGraph] = []

@@ -24,9 +24,7 @@ _INT_TEXT_RE = re.compile(r"\s*-?[0-9]+\s*")
 
 def parse_rational(value) -> Fraction:
     """Read an exact rational from an int or a 'p/q' (or integer) string."""
-    if isinstance(value, bool):
-        raise MalformedInput(f"expected a rational, got {value!r}")
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         match = _RATIONAL_RE.match(value.strip())
@@ -53,7 +51,7 @@ def parse_int_text(text, message: str) -> int:
 
 
 def parse_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise MalformedInput(f"expected an integer, got {value!r}")
     return value
 

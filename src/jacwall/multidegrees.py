@@ -49,11 +49,11 @@ class TorsionFreeDegree:
         if set(values) != set(graph.vertices):
             raise GraphMismatch("degrees must be defined on exactly the vertices of the graph")
         for v, d in values.items():
-            if not isinstance(d, int) or isinstance(d, bool):
+            if type(d) is not int:
                 raise DegreeSumMismatch(f"degrees must be integers, got {d!r} at {v}")
         fail = frozenset(failures)
         for i in fail:
-            if type(i) is not int or not 0 <= i < len(graph.edges):  # type, not isinstance: bool is an int
+            if type(i) is not int or not 0 <= i < len(graph.edges):
                 raise InvalidGraph(f"failure index {i!r} out of range for {len(graph.edges)} edges")
         target = genus(graph) - 1
         if sum(values.values()) + len(fail) != target:

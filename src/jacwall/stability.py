@@ -41,8 +41,11 @@ HALF = Fraction(1, 2)
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise InvalidParameter(f"floating point is not allowed, got {value!r}")
+    """An exact rational from an int (not a bool) or a Fraction, which is returned unchanged."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is not int:
+        raise InvalidParameter(f"expected an int or a Fraction, got {value!r}")
     return Fraction(value)
 
 
@@ -101,7 +104,7 @@ class _PairVector:
 
 
 class StabilityParameter(_PairVector):
-    """An element of the stability space, stored by its coordinates phi+(i, S)."""
+    """An element of the stability space, stored by its coordinates phi+(i, S), each an int or a Fraction."""
 
     _noun = "coordinates"
 
@@ -128,7 +131,7 @@ class PolytopeLabel(_PairVector):
     @staticmethod
     def _checked(label: Mapping[BoundaryPair, int]) -> dict[BoundaryPair, int]:
         for pair, d in label.items():
-            if not isinstance(d, int) or isinstance(d, bool):
+            if type(d) is not int:
                 raise InvalidParameter(f"label values must be integers, got {d!r} at {pair}")
         return dict(label)
 
@@ -141,7 +144,7 @@ class PolytopeLabel(_PairVector):
 
 
 class GraphParameter:
-    """A vertex assignment on one graph summing to g - 1."""
+    """A vertex assignment on one graph summing to g - 1, each value an int or a Fraction."""
 
     def __init__(self, graph: MarkedGraph, values: Mapping[str, Fraction]):
         vals = {v: _as_fraction(c) for v, c in values.items()}
@@ -213,8 +216,9 @@ def polytope_label(phi: StabilityParameter) -> PolytopeLabel:
 
 
 def _check_degrees(g: int, n: int, degrees: Sequence[int]) -> tuple[int, ...]:
+    check_gn(g, n)
     degrees = tuple(degrees)
-    if len(degrees) != n or not all(isinstance(d, int) and not isinstance(d, bool) for d in degrees):
+    if len(degrees) != n or not all(type(d) is int for d in degrees):
         raise DegreeSumMismatch(f"expected {n} integer degrees, got {degrees!r}")
     if sum(degrees) != g - 1:
         raise DegreeSumMismatch(f"degrees must sum to g-1 = {g - 1}, got {sum(degrees)}")
@@ -227,7 +231,6 @@ def phi_from_degrees(g: int, n: int, degrees: Sequence[int]) -> StabilityParamet
     This is the parameter under which the line bundle twisted by the degree
     vector along the markings is stable; it is always nondegenerate.
     """
-    check_gn(g, n)
     degrees = _check_degrees(g, n, degrees)
     coords = tuple(Fraction(degree_sum(degrees, pair)) for pair in admissible_pairs(g, n))
     return StabilityParameter._of(g, n, coords)
@@ -263,14 +266,18 @@ def phi_from_slope(
 ) -> GraphParameter:
     """The vertex assignment equivalent to slope stability for the polarization A twisted by M.
 
-    values(v) = (A(v)/deg A) deg M + deg_v(omega)/2 - M(v).  A must be positive
-    on every vertex; missing entries of M default to 0.
+    values(v) = (A(v)/deg A) deg M + deg_v(omega)/2 - M(v).  A must be a positive
+    int on every vertex; M takes int values on vertices, and missing entries default to 0.
     """
     M = dict(M or {})
+    if not M.keys() <= G.genus_of.keys():
+        raise GraphMismatch(f"twist M must be given on vertices of the graph only, got {M!r}")
     for v in G.vertices:
-        a = A.get(v)
-        if type(a) is not int or a <= 0:  # type, not isinstance: bool is an int
+        a, m = A.get(v), M.get(v, 0)
+        if type(a) is not int or a <= 0:
             raise NonAmple(f"polarization must be a positive integer on every vertex, got {a!r} at {v}")
+        if type(m) is not int:
+            raise InvalidParameter(f"twist M must be an integer on every vertex, got {m!r} at {v}")
     deg_a = sum(A[v] for v in G.vertices)
     deg_m = sum(M.get(v, 0) for v in G.vertices)
     values = {
@@ -386,7 +393,7 @@ def _check_twist(g: int, n: int, twist: Mapping[BoundaryPair, int]) -> list[int]
     for pair, t in twist.items():
         if pair not in index:
             raise InadmissiblePair(f"twist supported on inadmissible pair {pair}")
-        if not isinstance(t, int) or isinstance(t, bool):
+        if type(t) is not int:
             raise InvalidParameter(f"twist coefficients must be integers, got {t!r}")
         out[index[pair]] = t
     return out

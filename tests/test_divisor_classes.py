@@ -1,4 +1,6 @@
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,8 @@ from jacwall import (
     DegreeSumMismatch,
     DivisorClass,
     InadmissiblePair,
+    InvalidGN,
+    InvalidParameter,
     NoNegativeDegree,
     PolytopeLabel,
     admissible_pairs,
@@ -88,6 +92,30 @@ def test_bool_is_not_a_psi_index():
         DivisorClass(2, 2, psi={True: F(1)})
     with pytest.raises(BasisMismatch):
         DivisorClass(2, 2, psi={1: F(1)}).psi_coeff(True)
+
+
+def test_class_rejects_inexact_coefficients():
+    # True and "1/2" used to pass as 1 and 1/2
+    for value in (0.5, True, "1/2", " 3 ", Decimal("0.5"), None):
+        message = re.escape(repr(value))
+        with pytest.raises(InvalidParameter, match=message):
+            DivisorClass(2, 2, lam=value)
+        with pytest.raises(InvalidParameter, match=message):
+            DivisorClass(2, 2, psi={1: value})
+        with pytest.raises(InvalidParameter, match=message):
+            DivisorClass(2, 2, delta_irr=value)
+        with pytest.raises(InvalidParameter, match=message):
+            DivisorClass(2, 2, delta={pair(1, 1): value})
+        with pytest.raises(InvalidParameter, match=message):
+            DivisorClass(2, 2, lam=1).scaled(value)
+
+
+def test_degree_routes_check_gn_first():
+    for route in (phi_from_degrees, stable_pairs_class, hain_class, mueller_class, compare_classes):
+        with pytest.raises(InvalidGN):
+            route(True, 3, [-1, 1, 0])
+        with pytest.raises(InvalidGN):
+            route(2, 0, [])
 
 
 def test_class_algebra_examples():

@@ -51,3 +51,15 @@ def test_library_makes_no_linear_preorder_lookups():
     ]
     assert SOURCES, "no library sources found"
     assert found == []
+
+
+def test_integer_checks_have_one_spelling():
+    # bool is an int subclass; "an int but not a bool" is spelled type(x) is int, as in check_gn
+    found = [
+        f"{path.name}:{lineno}"
+        for path in SOURCES
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "isinstance(" in line and "bool" in line
+    ]
+    assert SOURCES, "no library sources found"
+    assert found == []

@@ -1,4 +1,6 @@
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from jacwall import (
     BoundaryPair,
     DegenerateParameter,
     DegreeSumMismatch,
+    DivisorClass,
     EmptyOrFullSubset,
     GraphMismatch,
     GraphParameter,
@@ -125,9 +128,64 @@ def test_parameter_requires_exact_domain():
 
 
 def test_parameter_rejects_floats():
+    # and every other value that is not an int or a Fraction, naming it
     p012, p11, p112 = admissible_pairs(2, 2)
-    with pytest.raises(InvalidParameter):
-        StabilityParameter(2, 2, {p012: 0.5, p11: F(0), p112: F(0)})
+    G = two_vertex_graph(2, 2, pair(1, 1))
+    for value in (0.5, True, "1/3", Decimal("0.5"), None):
+        with pytest.raises(InvalidParameter, match=re.escape(repr(value))):
+            StabilityParameter(2, 2, {p012: value, p11: F(0), p112: F(0)})
+        with pytest.raises(InvalidParameter, match=re.escape(repr(value))):
+            GraphParameter(G, {"v1": value, "v2": F(1, 2)})
+
+
+def test_parameter_keeps_a_given_fraction():
+    p012, p11, p112 = admissible_pairs(2, 2)
+    f = F(1, 3)
+    assert StabilityParameter(2, 2, {p012: f, p11: 0, p112: 0}).phi_plus(p012) is f
+    assert GraphParameter(two_vertex_graph(2, 2, pair(1, 1)), {"v1": f, "v2": 1 - f}).value("v1") is f
+
+
+def _boundary_cases():
+    """(name, build, read): build takes one value into a public constructor, read gets it back."""
+    p012, p11, p112 = admissible_pairs(2, 2)
+    G = two_vertex_graph(2, 2, pair(1, 1))
+    return [
+        ("StabilityParameter", lambda x: StabilityParameter(2, 2, {p012: x, p11: 0, p112: 0}),
+         lambda out: out.phi_plus(p012)),
+        ("GraphParameter", lambda x: GraphParameter(G, {"v1": x, "v2": 1 - x if type(x) in (int, F) else 0}),
+         lambda out: out.value("v1")),
+        ("DivisorClass.lam", lambda x: DivisorClass(2, 2, lam=x), lambda out: out.lam),
+        ("DivisorClass.psi", lambda x: DivisorClass(2, 2, psi={2: x}), lambda out: out.psi_coeff(2)),
+        ("DivisorClass.delta_irr", lambda x: DivisorClass(2, 2, delta_irr=x), lambda out: out.delta_irr),
+        ("DivisorClass.delta", lambda x: DivisorClass(2, 2, delta={p11: x}), lambda out: out.delta_coeff(p11)),
+        ("DivisorClass.scaled", lambda x: DivisorClass(2, 2, lam=1).scaled(x), lambda out: out.lam),
+    ]
+
+
+ANY_VALUE = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=6) | st.sampled_from(["1/3", " 3 ", "-2", "0.5"]),
+    st.fractions(max_denominator=1000),
+    st.decimals(),
+    st.none(),
+)
+
+
+@given(st.sampled_from(_boundary_cases()), ANY_VALUE)
+@settings(max_examples=200, deadline=None)
+def test_exact_value_boundary(case, value):
+    # a value either enters as itself, exactly, or is refused with InvalidParameter; nothing else escapes
+    name, build, read = case
+    try:
+        out = build(value)
+    except InvalidParameter:
+        assert type(value) not in (int, F), f"{name} refused {value!r}"
+        return
+    assert type(value) in (int, F), f"{name} accepted {value!r}"
+    stored = read(out)
+    assert type(stored) is F and stored == F(value)
 
 
 def test_label_requires_exact_domain_and_integers():
@@ -235,6 +293,19 @@ def test_phi_from_slope_rejects_bool_polarization():
     G = two_vertex_graph(2, 2, pair(1, 1))
     with pytest.raises(NonAmple, match="got True at v1"):
         phi_from_slope(G, {"v1": True, "v2": 2})
+
+
+def test_phi_from_slope_checks_its_twist():
+    G = two_vertex_graph(2, 2, pair(1, 1))
+    A = {"v1": 3, "v2": 2}
+    with pytest.raises(InvalidParameter, match="got 'x' at v1"):
+        phi_from_slope(G, A, {"v1": "x"})
+    with pytest.raises(GraphMismatch, match="zz"):
+        phi_from_slope(G, A, {"zz": 1})
+    with pytest.raises(InvalidParameter, match="got True at v1"):
+        phi_from_slope(G, A, {"v1": True})
+    with pytest.raises(InvalidParameter, match="got 0.5 at v1"):
+        phi_from_slope(G, A, {"v1": 0.5})
 
 
 def test_phi_from_slope_without_twist_is_half_dualizing(corpus3):
