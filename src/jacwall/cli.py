@@ -1,9 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: wires flags to the library and renders its results.
 
 Subcommands: polytope, stable-degree, wall-cross, pullback, compare, check.
-Inputs are JSON files (schemas in jsonio) or inline flags; output is a plain
-text table or, with --json, canonical JSON that is byte-identical across runs
-on identical inputs.
+Every file, flag value and environment variable is read through jsonio, the
+one input boundary; output is a plain text table or, with --json, canonical
+JSON that is byte-identical across runs on identical inputs.
 
 Exit codes: 0 ok, 1 identity or verification failure, 2 malformed input,
 3 degenerate parameter, 4 graph shape violation, 5 formula precondition
@@ -50,30 +50,6 @@ EXIT_FAIL = 1
 # -- small helpers ---------------------------------------------------------------
 
 
-def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise MalformedInput(f"JSON object key {key!r} is given twice")
-        obj[key] = value
-    return obj
-
-
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_reject_repeated_keys)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{path} is not valid JSON: {exc}")
-
-
-def _parse_int_list(text: str) -> list[int]:
-    message = f"expected a comma-separated integer list, got {text!r}"
-    return [jsonio.parse_int_text(part, message) for part in text.split(",")]
-
-
 def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -88,44 +64,39 @@ def _add_phi_source(parser: argparse.ArgumentParser, required: bool) -> None:
     group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument("--phi", metavar="FILE", help="stability parameter JSON file")
     group.add_argument(
-        "--from-degrees",
-        metavar="D1,..,DN",
-        help="use the integral parameter attached to this degree vector",
+        "--from-degrees", metavar="D1,..,DN", help="use the integral parameter attached to this degree vector"
     )
-    group.add_argument(
-        "--from-label",
-        metavar="FILE",
-        help="use an interior point of the polytope label in FILE",
-    )
+    group.add_argument("--from-label", metavar="FILE", help="use an interior point of the polytope label in FILE")
 
 
 def _gn_file(path: str, decode, noun: str, g: int, n: int):
     """Decode a JSON file holding a parameter or a label, which must live over (g, n)."""
-    found = decode(_load_json(path))
+    found = decode(jsonio.load_json(path))
     if (found.g, found.n) != (g, n):
         raise MalformedInput(f"{noun} file has (g,n)=({found.g},{found.n}), expected ({g},{n})")
     return found
 
 
 def _resolve_phi(args, g: int, n: int):
-    if args.phi:
-        return _gn_file(args.phi, jsonio.parameter_from_json, "parameter", g, n)
-    if args.from_degrees:
-        return phi_from_degrees(g, n, _parse_int_list(args.from_degrees))
-    return phi_from_label(_gn_file(args.from_label, jsonio.label_from_json, "label", g, n))
+    """The parameter of the --phi, --from-degrees or --from-label flag given, or None."""
+    if args.phi is not None:
+        return _phi_from_spec(f"file:{args.phi}", g, n)
+    if args.from_degrees is not None:
+        return _phi_from_spec(f"fromdeg:{args.from_degrees}", g, n)
+    if args.from_label is not None:
+        return phi_from_label(_gn_file(args.from_label, jsonio.label_from_json, "label", g, n))
+    return None
 
 
 def _phi_from_spec(spec: str, g: int, n: int):
     """Inline parameter spec: 'fromdeg:D1,..', 'label:D1,..', 'canonical', or a JSON file path."""
     if spec.startswith("fromdeg:"):
-        return phi_from_degrees(g, n, _parse_int_list(spec[len("fromdeg:") :]))
+        return phi_from_degrees(g, n, jsonio.parse_int_list(spec[len("fromdeg:") :]))
     if spec.startswith("label:"):
-        values = _parse_int_list(spec[len("label:") :])
+        values = jsonio.parse_int_list(spec[len("label:") :])
         pairs = admissible_pairs(g, n)
         if len(values) != len(pairs):
-            raise MalformedInput(
-                f"label spec needs {len(pairs)} entries for (g,n)=({g},{n}), got {len(values)}"
-            )
+            raise MalformedInput(f"label spec needs {len(pairs)} entries for (g,n)=({g},{n}), got {len(values)}")
         return phi_from_label(PolytopeLabel(g, n, dict(zip(pairs, values))))
     if spec == "canonical":
         return canonical_parameter(g, n)
@@ -139,6 +110,15 @@ def _class_rows(g: int, n: int, columns: list[tuple[str, DivisorClass]]) -> list
     return rows
 
 
+def _emit_class(args, title: str, cls: DivisorClass, **extra) -> None:
+    """Print one class: its title and coefficient table, or with --json its JSON and extra keys."""
+    if args.json:
+        _emit_json({**jsonio.class_to_json(cls), **extra})
+    else:
+        print(title)
+        print(_table(_class_rows(args.g, args.n, [("coefficient", cls)])))
+
+
 # -- polytope ---------------------------------------------------------------------
 
 
@@ -148,11 +128,8 @@ def _cmd_polytope(args) -> int:
     flat = is_theta_flat(phi)
     reduced = is_theta_reduced(phi)
     if args.json:
-        payload = jsonio.label_to_json(label)
-        payload.update(
-            {"nondegenerate": True, "theta_flat": flat, "theta_reduced": reduced}
-        )
-        _emit_json(payload)
+        verdicts = {"nondegenerate": True, "theta_flat": flat, "theta_reduced": reduced}
+        _emit_json({**jsonio.label_to_json(label), **verdicts})
         return EXIT_OK
     print(f"stability polytope (g={args.g}, n={args.n})")
     rows = [("pair", "d")] + [(str(pair), str(d)) for pair, d in zip(label.pairs, label.values)]
@@ -167,7 +144,7 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_stable_degree(args) -> int:
-    G = jsonio.graph_from_json(_load_json(args.graph))
+    G = jsonio.graph_from_json(jsonio.load_json(args.graph))
     g, n = genus(G), G.n
     phi = _resolve_phi(args, g, n)
     pG = extend_to_graph(phi, G)
@@ -190,9 +167,7 @@ def _cmd_stable_degree(args) -> int:
     else:
         print(f"graph: {len(G.vertices)} vertices, {len(G.edges)} edges, genus {g}, n {n}")
         rows = [("vertex", "phi", "degree")]
-        rows += [
-            (v, jsonio.format_rational(pG.value(v)), str(md.deg[v])) for v in G.vertices
-        ]
+        rows += [(v, jsonio.format_rational(pG.value(v)), str(md.deg[v])) for v in G.vertices]
         print(_table(rows))
         if verified is not None:
             print(f"verified: {str(verified).lower()}")
@@ -206,41 +181,27 @@ def _cmd_stable_degree(args) -> int:
 
 
 def _cmd_pullback(args) -> int:
-    degrees = _parse_int_list(args.degrees)
-    if args.phi or args.from_degrees or args.from_label:
-        phi = _resolve_phi(args, args.g, args.n)
-    else:
+    degrees = jsonio.parse_int_list(args.degrees)
+    phi = _resolve_phi(args, args.g, args.n)
+    if phi is None:
         phi = phi_from_degrees(args.g, args.n, degrees)
-    cls = theta_pullback(phi, degrees)
-    if args.json:
-        payload = jsonio.class_to_json(cls)
-        payload["degrees"] = degrees
-        _emit_json(payload)
-    else:
-        print(f"theta pullback (g={args.g}, n={args.n}, degrees={args.degrees})")
-        print(_table(_class_rows(args.g, args.n, [("coefficient", cls)])))
+    title = f"theta pullback (g={args.g}, n={args.n}, degrees={args.degrees})"
+    _emit_class(args, title, theta_pullback(phi, degrees), degrees=degrees)
     return EXIT_OK
 
 
 def _cmd_wall_cross(args) -> int:
     phi1 = _phi_from_spec(args.phi1, args.g, args.n)
     phi2 = _phi_from_spec(args.phi2, args.g, args.n)
-    cls = wall_crossing(phi1, phi2)
-    if args.json:
-        _emit_json(jsonio.class_to_json(cls))
-    else:
-        print(f"wall crossing (g={args.g}, n={args.n})")
-        print(_table(_class_rows(args.g, args.n, [("coefficient", cls)])))
+    _emit_class(args, f"wall crossing (g={args.g}, n={args.n})", wall_crossing(phi1, phi2))
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     g, n = args.g, args.n
-    degrees = _parse_int_list(args.degrees)
+    degrees = jsonio.parse_int_list(args.degrees)
     if args.mueller and not any(d < 0 for d in degrees):
-        raise NoNegativeDegree(
-            f"the Mueller class needs a negative degree, got {degrees}"
-        )
+        raise NoNegativeDegree(f"the Mueller class needs a negative degree, got {degrees}")
     found = compare_classes(g, n, degrees)
     if args.json:
         payload = {
@@ -361,9 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degrees", required=True, metavar="D1,..,DN")
     p.add_argument(
-        "--mueller",
-        action="store_true",
-        help="require the Mueller comparison (error when no degree is negative)",
+        "--mueller", action="store_true", help="require the Mueller comparison (error when no degree is negative)"
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_compare)

@@ -23,6 +23,7 @@ from .graphs import BoundaryPair, _checked_pair, admissible_pairs, check_gn, pai
 from .stability import (
     StabilityParameter,
     _as_fraction,
+    _as_mapping,
     _check_degrees,
     degree_sum,
     phi_from_degrees,
@@ -67,12 +68,12 @@ class DivisorClass:
         index = pair_index(g, n)
         coeffs = [Fraction(0)] * (n + 2 + len(admissible_pairs(g, n)))
         coeffs[0] = _as_fraction(lam)
-        for j, c in (psi or {}).items():
+        for j, c in _as_mapping({} if psi is None else psi, "psi").items():
             if type(j) is not int or not 1 <= j <= n:
                 raise BasisMismatch(f"psi index must lie in 1..{n}, got {j!r}")
             coeffs[j] = _as_fraction(c)
         coeffs[n + 1] = _as_fraction(delta_irr)
-        for pair, c in (delta or {}).items():
+        for pair, c in _as_mapping({} if delta is None else delta, "delta").items():
             k = index.get(pair)
             if k is None:
                 raise BasisMismatch(f"delta index {pair} is not admissible for (g,n)=({g},{n})")

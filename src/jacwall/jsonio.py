@@ -1,16 +1,20 @@
-"""JSON encoding and decoding for graphs, parameters, labels, multidegrees, and classes.
+"""The one place where external text becomes values: JSON files, integer lists and rationals.
 
+Every refusal is a MalformedInput (exit code 2), never a bare Python error.
 Rationals travel as exact strings "p/q" (q > 0, reduced) or plain integers;
-floats are rejected everywhere.  Pair keys are normalized so the encoded side
-always contains marking 1.  Encoders emit canonically ordered structures so
-serialization is byte-for-byte deterministic.
+floats are rejected everywhere.  A JSON object key, pair, vertex id, marking or
+psi index given twice is refused, never resolved by keeping the last value.
+Pair keys are normalized so the encoded side always contains marking 1.
+Encoders emit canonically ordered structures so serialization is byte-for-byte
+deterministic.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 import re
 from fractions import Fraction
-from typing import Mapping
 
 from .divisor_classes import DivisorClass
 from .errors import JacwallError, MalformedInput
@@ -22,15 +26,33 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$", re.ASCII)
 _INT_TEXT_RE = re.compile(r"\s*-?[0-9]+\s*")
 
 
+def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedInput(f"JSON object key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
+def load_json(path: str):
+    """The decoded JSON file at path; a repeated object key is refused."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_reject_repeated_keys)
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {path}: {exc}")
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer over int()'s digit limit
+        raise MalformedInput(f"{path} is not valid JSON: {exc}")
+
+
 def parse_rational(value) -> Fraction:
     """Read an exact rational from an int or a 'p/q' (or integer) string."""
     if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
-        match = _RATIONAL_RE.match(value.strip())
-        if match:
-            p, q = match.group(1), match.group(2)
-            return Fraction(int(p), int(q) if q else 1)
+    if isinstance(value, str) and (match := _RATIONAL_RE.match(value.strip())):
+        with contextlib.suppress(ValueError):  # int() refuses numbers over its digit limit
+            return Fraction(int(match[1]), int(match[2] or 1))
     raise MalformedInput(f"expected an integer or 'p/q' string, got {value!r}")
 
 
@@ -45,9 +67,16 @@ def parse_int_text(text, message: str) -> int:
     Raises MalformedInput(message) on anything else, including the spellings
     that int() also takes: '1_0', '+1' and non-ASCII digits.
     """
-    if not isinstance(text, str) or not _INT_TEXT_RE.fullmatch(text):
-        raise MalformedInput(message)
-    return int(text)
+    if isinstance(text, str) and _INT_TEXT_RE.fullmatch(text):
+        with contextlib.suppress(ValueError):  # int() refuses numbers over its digit limit
+            return int(text)
+    raise MalformedInput(message)
+
+
+def parse_int_list(text: str) -> list[int]:
+    """Read a comma-separated integer list such as '3,-2'."""
+    message = f"expected a comma-separated integer list, got {text!r}"
+    return [parse_int_text(part, message) for part in text.split(",")]
 
 
 def parse_int(value) -> int:
@@ -68,6 +97,26 @@ def _expect_list(obj, what: str) -> list:
     return obj
 
 
+def _vertex_pairs(entries, owner: str, noun: str) -> list[tuple[str, str]]:
+    """Read the JSON array owner.<noun>s, each entry a pair of vertex ids."""
+    pairs = []
+    for entry in _expect_list(entries, f"{owner}.{noun}s"):
+        entry = _expect_list(entry, noun)
+        if len(entry) != 2 or not all(isinstance(v, str) for v in entry):
+            raise MalformedInput(f"{noun}s must be pairs of vertex ids, got {entry!r}")
+        pairs.append((entry[0], entry[1]))
+    return pairs
+
+
+@contextlib.contextmanager
+def _invalid(what: str):
+    """Report a library error raised while building a decoded value as MalformedInput."""
+    try:
+        yield
+    except JacwallError as exc:
+        raise MalformedInput(f"invalid {what}: {exc}") from exc
+
+
 # -- graphs ---------------------------------------------------------------------
 
 
@@ -83,22 +132,15 @@ def graph_from_json(obj) -> MarkedGraph:
         if vid in genera:
             raise MalformedInput(f"vertex id {vid!r} is given twice")
         genera[vid] = parse_int(entry.get("genus"))
-    edges = []
-    for entry in _expect_list(obj.get("edges", []), "graph.edges"):
-        entry = _expect_list(entry, "edge")
-        if len(entry) != 2 or not all(isinstance(v, str) for v in entry):
-            raise MalformedInput(f"edges must be pairs of vertex ids, got {entry!r}")
-        edges.append((entry[0], entry[1]))
+    edges = _vertex_pairs(obj.get("edges", []), "graph", "edge")
     markings = {}
     for key, vid in _expect_object(obj.get("markings"), "graph.markings").items():
         j = parse_int_text(key, f"marking keys must be integers, got {key!r}")
         if j in markings:
             raise MalformedInput(f"marking {j} is given twice")
         markings[j] = vid
-    try:
+    with _invalid("graph"):
         return MarkedGraph(genera, edges, markings)
-    except JacwallError as exc:
-        raise MalformedInput(f"invalid graph: {exc}") from exc
 
 
 def graph_to_json(G: MarkedGraph) -> dict:
@@ -116,10 +158,8 @@ def pair_from_json(obj, g: int, n: int) -> BoundaryPair:
     obj = _expect_object(obj, "pair")
     i = parse_int(obj.get("i"))
     markings = [parse_int(j) for j in _expect_list(obj.get("S"), "pair.S")]
-    try:
+    with _invalid("pair"):
         return normalize_pair(g, n, i, markings)
-    except JacwallError as exc:
-        raise MalformedInput(f"invalid pair: {exc}") from exc
 
 
 def pair_to_json(pair: BoundaryPair) -> dict:
@@ -150,10 +190,8 @@ def parameter_from_json(obj) -> StabilityParameter:
     obj = _expect_object(obj, "parameter")
     g, n = _gn_from_json(obj)
     coords = _pair_entries(obj.get("coords"), "parameter.coords", "coordinate", "phi_plus", parse_rational, g, n)
-    try:
+    with _invalid("parameter"):
         return StabilityParameter(g, n, coords)
-    except JacwallError as exc:
-        raise MalformedInput(f"invalid parameter: {exc}") from exc
 
 
 def parameter_to_json(phi: StabilityParameter) -> dict:
@@ -172,10 +210,8 @@ def label_from_json(obj) -> PolytopeLabel:
     obj = _expect_object(obj, "label")
     g, n = _gn_from_json(obj)
     label = _pair_entries(obj.get("label"), "label.label", "label entry", "d", parse_int, g, n)
-    try:
+    with _invalid("label"):
         return PolytopeLabel(g, n, label)
-    except JacwallError as exc:
-        raise MalformedInput(f"invalid label: {exc}") from exc
 
 
 def label_to_json(label: PolytopeLabel) -> dict:
@@ -196,25 +232,16 @@ def multidegree_from_json(G: MarkedGraph, obj) -> TorsionFreeDegree:
     distinct parallel edges.
     """
     obj = _expect_object(obj, "multidegree")
-    deg = {}
-    for v, d in _expect_object(obj.get("deg"), "multidegree.deg").items():
-        deg[v] = parse_int(d)
+    deg = {v: parse_int(d) for v, d in _expect_object(obj.get("deg"), "multidegree.deg").items()}
     used: set[int] = set()
-    for entry in _expect_list(obj.get("failures", []), "multidegree.failures"):
-        entry = _expect_list(entry, "failure")
-        if len(entry) != 2 or not all(isinstance(v, str) for v in entry):
-            raise MalformedInput(f"failures must be pairs of vertex ids, got {entry!r}")
+    for entry in _vertex_pairs(obj.get("failures", []), "multidegree", "failure"):
         key = tuple(sorted(entry))
-        index = next(
-            (i for i, e in enumerate(G.edges) if e == key and i not in used), None
-        )
+        index = next((i for i, e in enumerate(G.edges) if e == key and i not in used), None)
         if index is None:
             raise MalformedInput(f"no unused edge {key} for the failure entry")
         used.add(index)
-    try:
+    with _invalid("multidegree"):
         return TorsionFreeDegree(G, deg, used)
-    except JacwallError as exc:
-        raise MalformedInput(f"invalid multidegree: {exc}") from exc
 
 
 def multidegree_to_json(F: TorsionFreeDegree) -> dict:
@@ -238,7 +265,7 @@ def class_from_json(obj) -> DivisorClass:
             raise MalformedInput(f"psi_{j} is given twice")
         psi[j] = parse_rational(c)
     delta = _pair_entries(obj.get("delta", []), "class.delta", "delta entry", "c", parse_rational, g, n)
-    try:
+    with _invalid("class"):  # a bad lambda or delta_irr reads "invalid class: ..."
         return DivisorClass(
             g,
             n,
@@ -247,8 +274,6 @@ def class_from_json(obj) -> DivisorClass:
             delta_irr=parse_rational(obj.get("delta_irr", 0)),
             delta=delta,
         )
-    except JacwallError as exc:
-        raise MalformedInput(f"invalid class: {exc}") from exc
 
 
 def class_to_json(cls: DivisorClass) -> dict:

@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import (
     DegenerateParameter,
@@ -49,6 +49,13 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def _as_mapping(value, name: str) -> Mapping:
+    """value itself when it is a mapping; InvalidParameter naming the argument otherwise."""
+    if not isinstance(value, Mapping):
+        raise InvalidParameter(f"{name} must be a mapping, got {value!r}")
+    return value
+
+
 class _PairVector:
     """One value per admissible pair of (g, n), held as ``values`` in `admissible_pairs` order.
 
@@ -57,7 +64,7 @@ class _PairVector:
 
     def __init__(self, g: int, n: int, by_pair: Mapping[BoundaryPair, object]):
         check_gn(g, n)
-        values = self._checked(by_pair)
+        values = self._checked(_as_mapping(by_pair, self._noun))
         pairs, index = admissible_pairs(g, n), pair_index(g, n)
         if set(values) != set(index):  # sets made from dicts reuse the stored hashes
             missing = [str(p) for p in pairs if p not in values]
@@ -147,7 +154,7 @@ class GraphParameter:
     """A vertex assignment on one graph summing to g - 1, each value an int or a Fraction."""
 
     def __init__(self, graph: MarkedGraph, values: Mapping[str, Fraction]):
-        vals = {v: _as_fraction(c) for v, c in values.items()}
+        vals = {v: _as_fraction(c) for v, c in _as_mapping(values, "values").items()}
         if set(vals) != set(graph.vertices):
             raise GraphMismatch("values must be defined on exactly the vertices of the graph")
         total = sum(vals.values())
@@ -269,7 +276,7 @@ def phi_from_slope(
     values(v) = (A(v)/deg A) deg M + deg_v(omega)/2 - M(v).  A must be a positive
     int on every vertex; M takes int values on vertices, and missing entries default to 0.
     """
-    M = dict(M or {})
+    A, M = _as_mapping(A, "polarization A"), dict(_as_mapping({} if M is None else M, "twist M"))
     if not M.keys() <= G.genus_of.keys():
         raise GraphMismatch(f"twist M must be given on vertices of the graph only, got {M!r}")
     for v in G.vertices:

@@ -357,6 +357,138 @@ def test_label_spec_of_wrong_length_exits_2(capsys):
     assert capsys.readouterr().err == "error: label spec needs 3 entries for (g,n)=(2,2), got 2\n"
 
 
+LABEL_22 = {
+    "g": 2,
+    "n": 2,
+    "label": [{"i": 0, "S": [1, 2], "d": 0}, {"i": 1, "S": [1], "d": 1}, {"i": 1, "S": [1, 2], "d": 1}],
+}
+TWO_VERTEX = {
+    "vertices": [{"id": "v1", "genus": 1}, {"id": "v2", "genus": 1}],
+    "edges": [["v1", "v2"]],
+    "markings": {"1": "v1", "2": "v2"},
+}
+POLYTOPE_22 = ["polytope", "--g", "2", "--n", "2"]
+STABLE_DEGREE = ["stable-degree", "--from-degrees", "1,0", "--graph"]
+
+
+def _coords_22(last: dict) -> dict:
+    return dict(CANONICAL_22, coords=CANONICAL_22["coords"][:2] + [last])
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (POLYTOPE_22 + ["--phi"], None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+        (
+            POLYTOPE_22 + ["--phi"],
+            "{not json",
+            "{path} is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+        (STABLE_DEGREE, '{"vertices": [], "markings": {"1": "v1", "1": "v2"}}', "JSON object key '1' is given twice"),
+        (POLYTOPE_22 + ["--phi"], PHI_32, "parameter file has (g,n)=(3,2), expected (2,2)"),
+        (["polytope", "--g", "3", "--n", "2", "--from-label"], LABEL_22, "label file has (g,n)=(2,2), expected (3,2)"),
+        (
+            STABLE_DEGREE,
+            dict(TWO_VERTEX, vertices=[{"id": "v1", "genus": 0}, {"id": "v2", "genus": 1}]),
+            "invalid graph: unstable: genus-0 vertex v1 has valence 1 and 1 markings",
+        ),
+        (
+            POLYTOPE_22 + ["--phi"],
+            _coords_22({"i": 9, "S": [1], "phi_plus": 0}),
+            "invalid pair: pair (9,{1}) is not admissible for (g,n)=(2,2)",
+        ),
+        (
+            POLYTOPE_22 + ["--phi"],
+            dict(CANONICAL_22, coords=CANONICAL_22["coords"][:2]),
+            "invalid parameter: coordinates must cover exactly the admissible pairs of (g,n)=(2,2);"
+            " missing ['(1,{1,2})'], stray []",
+        ),
+        (
+            POLYTOPE_22 + ["--from-label"],
+            dict(LABEL_22, label=LABEL_22["label"][1:]),
+            "invalid label: label must cover exactly the admissible pairs of (g,n)=(2,2);"
+            " missing ['(0,{1,2})'], stray []",
+        ),
+        (
+            POLYTOPE_22 + ["--phi"],
+            _coords_22({"i": 1, "S": [1, 2], "phi_plus": "1/3x"}),
+            "expected an integer or 'p/q' string, got '1/3x'",
+        ),
+        (
+            POLYTOPE_22 + ["--phi"],
+            _coords_22({"i": 1, "S": [1, 2], "phi_plus": 0.5}),
+            "expected an integer or 'p/q' string, got 0.5",
+        ),
+    ],
+    ids=[
+        "unreadable",
+        "invalid-json",
+        "repeated-key",
+        "parameter-other-gn",
+        "label-other-gn",
+        "invalid-graph",
+        "invalid-pair",
+        "invalid-parameter",
+        "invalid-label",
+        "bad-rational",
+        "float",
+    ],
+)
+def test_bad_input_file_exits_2_with_one_error_line(argv, content, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
+    assert main(argv + [str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.replace('{path}', str(path))}\n")
+
+
+@pytest.mark.parametrize(
+    "command", [POLYTOPE_22, ["pullback", "--g", "2", "--n", "2", "--degrees", "1,0"]], ids=["polytope", "pullback"]
+)
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--phi=", "cannot read : [Errno 2] No such file or directory: ''"),
+        ("--from-degrees=", "expected a comma-separated integer list, got ''"),
+    ],
+    ids=["phi", "from-degrees"],
+)
+def test_empty_parameter_source_is_malformed(command, flag, message, capsys):
+    # a flag that is given counts even when its value is empty; pullback must not fall back to --degrees
+    assert main(command + [flag]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+BIG = "1" + "0" * 5000  # more digits than int() reads from text by default
+
+
+def test_degrees_over_the_digit_limit_exit_2(capsys):
+    assert main(["pullback", "--g", "2", "--n", "2", "--degrees", f"{BIG},0"]) == 2
+    assert capsys.readouterr() == ("", f"error: expected a comma-separated integer list, got '{BIG},0'\n")
+
+
+def test_parameter_file_number_over_the_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"g": 2, "n": 2, "coords": [{"i": 0, "S": [1, 2], "phi_plus": ' + BIG + "}]}", encoding="utf-8")
+    assert main(POLYTOPE_22 + ["--phi", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+
+def test_seed_over_the_digit_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("JACWALL_SEED", BIG)
+    assert main(["check", "--trials", "0"]) == 2
+    assert capsys.readouterr() == ("", f"error: JACWALL_SEED must be an integer, got {BIG!r}\n")
+
+
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"g": 2, "\xff": 1}')
+    assert main(POLYTOPE_22 + ["--phi", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path} is not valid JSON: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize("seed", ["abc", "1_0", ""])
 def test_check_rejects_bad_seed(seed, capsys, monkeypatch):
     monkeypatch.setenv("JACWALL_SEED", seed)

@@ -2,12 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacwall import (
     BoundaryPair,
     DivisorClass,
+    JacwallError,
     MalformedInput,
     MarkedGraph,
     Multidegree,
@@ -258,3 +259,91 @@ def test_class_rejects_repeated_delta_pair():
         delta = [{"i": 1, "S": [1], "c": "1/2"}, repeat]
         with pytest.raises(MalformedInput, match=r"pair \(1,\{1\}\) is given twice"):
             class_from_json(dict(base, delta=delta))
+
+
+# -- the input boundary ---------------------------------------------------------------------
+
+BIG = "1" + "0" * 5000  # more digits than int() reads from text by default
+
+
+@pytest.mark.parametrize(
+    "decode, message",
+    [
+        (lambda: parse_rational(BIG + "/3"), "expected an integer or 'p/q' string"),
+        (lambda: graph_from_json(dict(LOOPED_GRAPH, markings={"1": "v1", BIG: "v3"})), "marking keys must be integers"),
+        (lambda: class_from_json({"g": 2, "n": 2, "psi": {BIG: "1"}}), "psi keys must be integers"),
+        (lambda: class_from_json({"g": 2, "n": 2, "lambda": BIG}), "invalid class: expected an integer or 'p/q'"),
+    ],
+    ids=["rational", "marking-key", "psi-key", "lambda"],
+)
+def test_integers_over_the_digit_limit_are_malformed(decode, message):
+    # int() raises a bare ValueError past sys.get_int_max_str_digits() digits
+    with pytest.raises(MalformedInput) as info:
+        decode()
+    assert str(info.value).startswith(message)
+
+
+_STRAY = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.sampled_from(["1_0", "+1", " 3 ", "1/0", "1/2", "-1", "v1"]),
+    st.just(BIG),
+)
+_PARAMETER_22 = {
+    "g": 2,
+    "n": 2,
+    "coords": [
+        {"i": 0, "S": [1, 2], "phi_plus": "1/10"},
+        {"i": 1, "S": [1], "phi_plus": 0},
+        {"i": 1, "S": [1, 2], "phi_plus": 1},
+    ],
+}
+_LABEL_22 = {
+    "g": 2,
+    "n": 2,
+    "label": [{"i": 0, "S": [1, 2], "d": 0}, {"i": 1, "S": [1], "d": 1}, {"i": 1, "S": [1, 2], "d": 1}],
+}
+_CLASS_22 = {
+    "g": 2,
+    "n": 2,
+    "lambda": "-1",
+    "psi": {"1": "6", "2": 1},
+    "delta_irr": "1/8",
+    "delta": [{"i": 1, "S": [1], "c": "-3"}],
+}
+_SKELETONS = [
+    (graph_from_json, LOOPED_GRAPH),
+    (lambda obj: pair_from_json(obj, 2, 2), {"i": 1, "S": [1]}),
+    (parameter_from_json, _PARAMETER_22),
+    (label_from_json, _LABEL_22),
+    (
+        lambda obj: multidegree_from_json(graph_from_json(LOOPED_GRAPH), obj),
+        {"deg": {"v1": 0, "v2": 1, "v3": 1}, "failures": [["v1", "v2"]]},
+    ),
+    (class_from_json, _CLASS_22),
+]
+
+
+def _fill(skeleton, data):
+    """A copy of skeleton whose every leaf and object key is kept or, one time in four, a stray value."""
+    if isinstance(skeleton, list):
+        return [_fill(item, data) for item in skeleton]
+    if isinstance(skeleton, dict):
+        return {_stray(key, data, str): _fill(value, data) for key, value in skeleton.items()}
+    return _stray(skeleton, data)
+
+
+def _stray(value, data, spell=lambda stray: stray):
+    return spell(data.draw(_STRAY)) if data.draw(st.integers(0, 3)) == 0 else value
+
+
+@given(st.sampled_from(_SKELETONS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_decoders_let_only_jacwall_errors_escape(case, data):
+    decode, skeleton = case
+    try:
+        decode(_fill(skeleton, data))
+    except JacwallError:
+        pass

@@ -63,3 +63,16 @@ def test_integer_checks_have_one_spelling():
     ]
     assert SOURCES, "no library sources found"
     assert found == []
+
+
+def test_only_jsonio_loads_json():
+    # jsonio is the one input boundary: file loading and its repeated-key rule live there alone
+    found = [
+        f"{path.name}:{lineno}"
+        for path in SOURCES
+        if path.name != "jsonio.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "json.load" in line
+    ]
+    assert SOURCES, "no library sources found"
+    assert found == []

@@ -308,6 +308,24 @@ def test_phi_from_slope_checks_its_twist():
         phi_from_slope(G, A, {"v1": 0.5})
 
 
+
+def test_container_arguments_must_be_mappings():
+    # a list, an int or None where a mapping belongs raised AttributeError or TypeError
+    G = two_vertex_graph(2, 2, pair(1, 1))
+    A = {"v1": 3, "v2": 2}
+    for build, name in (
+        (lambda: StabilityParameter(2, 2, [1, 2, 3]), "coordinates"),
+        (lambda: PolytopeLabel(2, 2, 5), "label"),
+        (lambda: GraphParameter(G, None), "values"),
+        (lambda: DivisorClass(2, 2, psi=[1]), "psi"),
+        (lambda: DivisorClass(2, 2, delta=[1]), "delta"),
+        (lambda: phi_from_slope(G, [3, 2]), "polarization A"),
+        (lambda: phi_from_slope(G, A, [1]), "twist M"),
+    ):
+        with pytest.raises(InvalidParameter, match=f"^{name} must be a mapping, got "):
+            build()
+    assert phi_from_slope(G, A, None) == phi_from_slope(G, A, {})
+
 def test_phi_from_slope_without_twist_is_half_dualizing(corpus3):
     rng = random.Random(3)
     for graphs in corpus3.values():
