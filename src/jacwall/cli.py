@@ -13,7 +13,6 @@ violation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -51,7 +50,7 @@ EXIT_FAIL = 1
 
 
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(jsonio.dump_json(payload) + "\n")
 
 
 def _table(rows: list[tuple[str, ...]]) -> str:
@@ -115,8 +114,7 @@ def _emit_class(args, title: str, cls: DivisorClass, **extra) -> None:
     if args.json:
         _emit_json({**jsonio.class_to_json(cls), **extra})
     else:
-        print(title)
-        print(_table(_class_rows(args.g, args.n, [("coefficient", cls)])))
+        print(title + "\n" + _table(_class_rows(args.g, args.n, [("coefficient", cls)])))
 
 
 # -- polytope ---------------------------------------------------------------------
@@ -131,12 +129,10 @@ def _cmd_polytope(args) -> int:
         verdicts = {"nondegenerate": True, "theta_flat": flat, "theta_reduced": reduced}
         _emit_json({**jsonio.label_to_json(label), **verdicts})
         return EXIT_OK
-    print(f"stability polytope (g={args.g}, n={args.n})")
-    rows = [("pair", "d")] + [(str(pair), str(d)) for pair, d in zip(label.pairs, label.values)]
-    print(_table(rows))
-    print(f"nondegenerate: true")
-    print(f"theta-flat: {str(flat).lower()}")
-    print(f"theta-reduced: {str(reduced).lower()}")
+    rows = [("pair", "d")] + [(str(p), jsonio.format_rational(d)) for p, d in zip(label.pairs, label.values)]
+    lines = [f"stability polytope (g={args.g}, n={args.n})", _table(rows), "nondegenerate: true"]
+    lines += [f"theta-flat: {str(flat).lower()}", f"theta-reduced: {str(reduced).lower()}"]
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -165,12 +161,12 @@ def _cmd_stable_degree(args) -> int:
             payload["verified"] = verified
         _emit_json(payload)
     else:
-        print(f"graph: {len(G.vertices)} vertices, {len(G.edges)} edges, genus {g}, n {n}")
         rows = [("vertex", "phi", "degree")]
-        rows += [(v, jsonio.format_rational(pG.value(v)), str(md.deg[v])) for v in G.vertices]
-        print(_table(rows))
+        rows += [(v, jsonio.format_rational(pG.value(v)), jsonio.format_rational(md.deg[v])) for v in G.vertices]
+        lines = [f"graph: {len(G.vertices)} vertices, {len(G.edges)} edges, genus {g}, n {n}", _table(rows)]
         if verified is not None:
-            print(f"verified: {str(verified).lower()}")
+            lines.append(f"verified: {str(verified).lower()}")
+        print("\n".join(lines))
     if verified is False:
         print("error: brute force disagrees with the tree solver", file=sys.stderr)
         return EXIT_FAIL
@@ -216,14 +212,16 @@ def _cmd_compare(args) -> int:
             payload["mueller_diff"] = jsonio.class_to_json(found.diff)
         _emit_json(payload)
     else:
-        print(f"class comparison (g={g}, n={n}, degrees={args.degrees})")
-        print(_table(_class_rows(g, n, list(found.classes.items()))))
+        lines = [
+            f"class comparison (g={g}, n={n}, degrees={args.degrees})",
+            _table(_class_rows(g, n, list(found.classes.items()))),
+        ]
         if found.T is None:
-            print("T: (mueller class undefined: no negative degree)")
+            lines.append("T: (mueller class undefined: no negative degree)")
         else:
-            print(f"T: {', '.join(str(pair) for pair in found.T) or '(empty)'}")
-        for name, ok in found.identities:
-            print(f"identity {name}: {'PASS' if ok else 'FAIL'}")
+            lines.append(f"T: {', '.join(str(pair) for pair in found.T) or '(empty)'}")
+        lines += [f"identity {name}: {'PASS' if ok else 'FAIL'}" for name, ok in found.identities]
+        print("\n".join(lines))
     return EXIT_OK if all(ok for _, ok in found.identities) else EXIT_FAIL
 
 

@@ -19,16 +19,8 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import BasisMismatch, NoNegativeDegree
-from .graphs import BoundaryPair, _checked_pair, admissible_pairs, check_gn, pair_index
-from .stability import (
-    StabilityParameter,
-    _as_fraction,
-    _as_mapping,
-    _check_degrees,
-    degree_sum,
-    phi_from_degrees,
-    polytope_label,
-)
+from .graphs import BoundaryPair, _as_mapping, _checked_pair, admissible_pairs, check_gn, pair_index, side_sums
+from .stability import StabilityParameter, _as_fraction, phi_from_degrees, polytope_label, side_degrees
 
 
 def binom2(m: int) -> int:
@@ -187,11 +179,11 @@ def theta_pullback(phi: StabilityParameter, degrees: Sequence[int]) -> DivisorCl
     + sum_(i,S) [C(d(i,S)-i+1, 2) - C(d_S-i+1, 2)] delta_(i,S),
     where d(i,S) is the polytope label of phi.
     """
-    degrees = _check_degrees(phi.g, phi.n, degrees)
+    degrees, d_side = side_degrees(phi.g, phi.n, degrees)
     label = polytope_label(phi)
     delta = (
-        binom2(d - pair.i + 1) - binom2(degree_sum(degrees, pair) - pair.i + 1)
-        for pair, d in zip(label.pairs, label.values)
+        binom2(d - pair.i + 1) - binom2(d_s - pair.i + 1)
+        for pair, d, d_s in zip(label.pairs, label.values, d_side)
     )
     return _theta_form(phi.g, phi.n, degrees, delta)
 
@@ -229,8 +221,8 @@ def stable_pairs_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
     equals the theta pullback for every parameter whose polytope touches the
     canonical one.
     """
-    degrees = _check_degrees(g, n, degrees)
-    delta = (-binom2(degree_sum(degrees, pair) - pair.i + 1) for pair in admissible_pairs(g, n))
+    degrees, d_side = side_degrees(g, n, degrees)
+    delta = (-binom2(d_s - pair.i + 1) for pair, d_s in zip(admissible_pairs(g, n), d_side))
     return _theta_form(g, n, degrees, delta)
 
 
@@ -239,11 +231,13 @@ def hain_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
     return stable_pairs_class(g, n, degrees) + DivisorClass(g, n, delta_irr=Fraction(1, 8))
 
 
-def _check_negative_degrees(g: int, n: int, degrees: Sequence[int]) -> tuple[int, ...]:
-    degrees = _check_degrees(g, n, degrees)
+def _mueller_sides(g: int, n: int, degrees: Sequence[int]):
+    """The checked degrees, one of them negative, and (pair, d_S, every degree on S > 0) in pair order."""
+    degrees, d_side = side_degrees(g, n, degrees)
     if not any(d < 0 for d in degrees):
         raise NoNegativeDegree(f"at least one degree must be negative, got {degrees}")
-    return degrees
+    nonpositive = side_sums(g, n, [int(d <= 0) for d in degrees])
+    return degrees, zip(admissible_pairs(g, n), d_side, [count == 0 for count in nonpositive])
 
 
 def mueller_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
@@ -252,15 +246,11 @@ def mueller_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
     Pairs whose markings all carry positive degree contribute
     -C(|d_S-i|+1, 2); all others contribute -C(d_S-i+1, 2).
     """
-    degrees = _check_negative_degrees(g, n, degrees)
-    s_plus = {j + 1 for j, d in enumerate(degrees) if d > 0}
-    delta = []
-    for pair in admissible_pairs(g, n):
-        d_s = degree_sum(degrees, pair)
-        if pair.S <= s_plus:
-            delta.append(-binom2(abs(d_s - pair.i) + 1))
-        else:
-            delta.append(-binom2(d_s - pair.i + 1))
+    degrees, sides = _mueller_sides(g, n, degrees)
+    delta = (
+        -binom2(abs(d_s - pair.i) + 1) if positive else -binom2(d_s - pair.i + 1)
+        for pair, d_s, positive in sides
+    )
     return _theta_form(g, n, degrees, delta)
 
 
@@ -273,12 +263,10 @@ def mueller_comparison(
     d_S < i; the difference class sum_(T) (i - d_S) delta_(i,S) satisfies
     stable_pairs = mueller + diff.
     """
-    degrees = _check_negative_degrees(g, n, degrees)
     t_set = []
     delta = {}
-    for pair in admissible_pairs(g, n):
-        d_s = degree_sum(degrees, pair)
-        if all(degrees[j - 1] > 0 for j in pair.S) and d_s < pair.i:
+    for pair, d_s, positive in _mueller_sides(g, n, degrees)[1]:
+        if positive and d_s < pair.i:
             t_set.append(pair)
             delta[pair] = pair.i - d_s
     return t_set, DivisorClass(g, n, delta=delta)
@@ -292,9 +280,9 @@ def twist_divisor_coeffs(
     (i, S) maps to d_S - d(i, S); the result is identically zero exactly when
     phi lies in the polytope of the degree vector's own parameter.
     """
-    degrees = _check_degrees(phi.g, phi.n, degrees)
+    d_side = side_degrees(phi.g, phi.n, degrees)[1]
     label = polytope_label(phi)
-    return {pair: degree_sum(degrees, pair) - d for pair, d in zip(label.pairs, label.values)}
+    return {pair: d_s - d for pair, d, d_s in zip(label.pairs, label.values, d_side)}
 
 
 # -- the identities among the comparison classes ----------------------------------

@@ -9,16 +9,19 @@ operations are safe to call concurrently.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 from .errors import (
     GraphMismatch,
     InadmissiblePair,
     InvalidGN,
     InvalidGraph,
+    InvalidParameter,
+    JacwallError,
     LoopEdge,
     NotTreeLike,
 )
@@ -38,6 +41,20 @@ def check_gn(g: int, n: int) -> None:
         raise InvalidGN(f"genus 0 requires n >= 3, got n={n}")
 
 
+def _as_mapping(value, name: str, error: type[JacwallError] = InvalidParameter) -> Mapping:
+    """value itself when it is a mapping; error naming the argument otherwise."""
+    if not isinstance(value, Mapping):
+        raise error(f"{name} must be a mapping, got {value!r}")
+    return value
+
+
+def _as_iterable(value, name: str, error: type[JacwallError]) -> Iterable:
+    """value itself when it is iterable; error naming the argument otherwise."""
+    if not isinstance(value, Iterable):
+        raise error(f"{name} must be iterable, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class BoundaryPair:
     """Index (i, S) of a boundary divisor: a genus-i side carrying the markings S, with 1 in S."""
@@ -46,7 +63,7 @@ class BoundaryPair:
     S: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "S", frozenset(self.S))
+        object.__setattr__(self, "S", frozenset(_as_iterable(self.S, "S", InadmissiblePair)))
         if not all(type(j) is int and j >= 1 for j in self.S):
             raise InadmissiblePair(f"markings must be positive integers, got {sorted(self.S)}")
         if 1 not in self.S:
@@ -84,7 +101,7 @@ def normalize_pair(g: int, n: int, i: int, markings: Iterable[int]) -> BoundaryP
     check_gn(g, n)
     if type(i) is not int:  # before the complement below turns a bool into an int
         raise InadmissiblePair(f"side genus must be a nonnegative integer, got i={i!r}")
-    S = frozenset(markings)
+    S = frozenset(_as_iterable(markings, "markings", InadmissiblePair))
     all_marks = frozenset(range(1, n + 1))
     if not S <= all_marks:
         raise InadmissiblePair(f"markings {sorted(S)} not contained in 1..{n}")
@@ -119,7 +136,7 @@ class MarkedGraph:
         edges: Iterable[Sequence[str]],
         markings: Mapping[int, str],
     ):
-        genus_of = dict(genera)
+        genus_of = dict(_as_mapping(genera, "genera", InvalidGraph))
         if not genus_of:
             raise InvalidGraph("a graph needs at least one vertex")
         for v, gv in genus_of.items():
@@ -129,7 +146,7 @@ class MarkedGraph:
                 raise InvalidGraph(f"genus of {v} must be a nonnegative integer, got {gv!r}")
 
         edge_list: list[Edge] = []
-        for e in edges:
+        for e in _as_iterable(edges, "edges", InvalidGraph):
             try:
                 a, b = e
             except (TypeError, ValueError):
@@ -140,7 +157,7 @@ class MarkedGraph:
         edge_list.sort()
 
         marking_of = {}
-        for j, v in dict(markings).items():
+        for j, v in dict(_as_mapping(markings, "markings", InvalidGraph)).items():
             if type(j) is not int:
                 raise InvalidGraph(f"marking labels must be integers, got {j!r}")
             if not isinstance(v, str) or v not in genus_of:
@@ -257,7 +274,7 @@ def contract(G: MarkedGraph, edge_indices: Iterable[int]) -> tuple[MarkedGraph, 
     reproducible.  Edges outside the set are re-routed; parallel edges whose
     endpoints merge are retained as loops.
     """
-    idxs = set(edge_indices)
+    idxs = set(_as_iterable(edge_indices, "edge_indices", InvalidGraph))
     for i in sorted(idxs):
         if not 0 <= i < len(G.edges):
             raise InvalidGraph(f"edge index {i} out of range for {len(G.edges)} edges")
@@ -415,6 +432,19 @@ def pair_index(g: int, n: int) -> dict[BoundaryPair, int]:
 def _pair_by_key(g: int, n: int) -> dict[tuple[int, int], BoundaryPair]:
     """The admissible pairs of (g, n) keyed by their sort key (i, marking bitmask)."""
     return {pair.sort_key: pair for pair in admissible_pairs(g, n)}
+
+
+def side_sums(g: int, n: int, values: Sequence) -> list:
+    """The sum of values[j - 1] over the markings j in S of each admissible pair (i, S), in pair order.
+
+    One table over all 2^n marking masks is filled first: each mask sums to
+    the mask without its lowest bit plus that bit's value.
+    """
+    table = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        table[m] = table[m ^ low] + values[low.bit_length() - 1]
+    return [table[mask] for _, mask in _pair_by_key(g, n)]
 
 
 # -- elementary subgraphs ------------------------------------------------------

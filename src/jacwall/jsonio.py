@@ -1,4 +1,4 @@
-"""The one place where external text becomes values: JSON files, integer lists and rationals.
+"""The one place where external text becomes values, and values become JSON and rationals as text.
 
 Every refusal is a MalformedInput (exit code 2), never a bare Python error.
 Rationals travel as exact strings "p/q" (q > 0, reduced) or plain integers;
@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .divisor_classes import DivisorClass
@@ -42,7 +43,7 @@ def load_json(path: str):
             return json.load(fh, object_pairs_hook=_reject_repeated_keys)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}")
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer over int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, or past int()'s digits
         raise MalformedInput(f"{path} is not valid JSON: {exc}")
 
 
@@ -56,9 +57,26 @@ def parse_rational(value) -> Fraction:
     raise MalformedInput(f"expected an integer or 'p/q' string, got {value!r}")
 
 
+def _too_long() -> MalformedInput:
+    """The refusal of a result with an integer that str() will not write, over Python's digit limit."""
+    limit = sys.get_int_max_str_digits()
+    return MalformedInput(f"a result has over {limit} digits, Python's limit for writing an integer")
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical string form: plain integer when q = 1, else 'p/q' reduced with q > 0."""
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError:
+        raise _too_long() from None
+
+
+def dump_json(payload: dict) -> str:
+    """Canonical JSON text of an output payload: sorted keys, two-space indent."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True)
+    except ValueError:
+        raise _too_long() from None
 
 
 def parse_int_text(text, message: str) -> int:

@@ -26,6 +26,8 @@ from .errors import (
 )
 from .graphs import (
     MarkedGraph,
+    _as_iterable,
+    _as_mapping,
     _proper_subsets,
     crossing_edge_indices,
     elementary_subgraphs,
@@ -45,13 +47,13 @@ class TorsionFreeDegree:
     """
 
     def __init__(self, graph: MarkedGraph, norm_deg: Mapping[str, int], failures: Iterable[int] = ()):
-        values = dict(norm_deg)
+        values = dict(_as_mapping(norm_deg, "norm_deg", DegreeSumMismatch))
         if set(values) != set(graph.vertices):
             raise GraphMismatch("degrees must be defined on exactly the vertices of the graph")
         for v, d in values.items():
             if type(d) is not int:
                 raise DegreeSumMismatch(f"degrees must be integers, got {d!r} at {v}")
-        fail = frozenset(failures)
+        fail = frozenset(_as_iterable(failures, "failures", InvalidGraph))
         for i in fail:
             if type(i) is not int or not 0 <= i < len(graph.edges):
                 raise InvalidGraph(f"failure index {i!r} out of range for {len(graph.edges)} edges")
@@ -141,6 +143,8 @@ def is_semistable(pG: GraphParameter, F: TorsionFreeDegree, strict: bool = False
     tests/test_multidegrees.py checks that at rank 0 and, in
     test_elementary_equals_all_modes_on_positive_rank, at rank > 0.
     """
+    if not isinstance(F, TorsionFreeDegree):
+        raise GraphMismatch(f"F must be a TorsionFreeDegree, got {F!r}")
     if F.graph != pG.graph:
         raise GraphMismatch("sheaf and parameter live on different graphs")
     if mode == "elementary":

@@ -28,6 +28,8 @@ from .errors import (
 from .graphs import (
     BoundaryPair,
     MarkedGraph,
+    _as_iterable,
+    _as_mapping,
     admissible_pairs,
     check_gn,
     contract,
@@ -35,6 +37,7 @@ from .graphs import (
     genus,
     pair_index,
     rooted_tree,
+    side_sums,
 )
 
 HALF = Fraction(1, 2)
@@ -47,13 +50,6 @@ def _as_fraction(value) -> Fraction:
     if type(value) is not int:
         raise InvalidParameter(f"expected an int or a Fraction, got {value!r}")
     return Fraction(value)
-
-
-def _as_mapping(value, name: str) -> Mapping:
-    """value itself when it is a mapping; InvalidParameter naming the argument otherwise."""
-    if not isinstance(value, Mapping):
-        raise InvalidParameter(f"{name} must be a mapping, got {value!r}")
-    return value
 
 
 class _PairVector:
@@ -222,14 +218,15 @@ def polytope_label(phi: StabilityParameter) -> PolytopeLabel:
 # -- constructors ----------------------------------------------------------------
 
 
-def _check_degrees(g: int, n: int, degrees: Sequence[int]) -> tuple[int, ...]:
+def side_degrees(g: int, n: int, degrees: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+    """The checked degree vector, and its partial sum d_S over each admissible pair (i, S) in pair order."""
     check_gn(g, n)
-    degrees = tuple(degrees)
+    degrees = tuple(_as_iterable(degrees, "degrees", DegreeSumMismatch))
     if len(degrees) != n or not all(type(d) is int for d in degrees):
         raise DegreeSumMismatch(f"expected {n} integer degrees, got {degrees!r}")
     if sum(degrees) != g - 1:
         raise DegreeSumMismatch(f"degrees must sum to g-1 = {g - 1}, got {sum(degrees)}")
-    return degrees
+    return degrees, side_sums(g, n, degrees)
 
 
 def phi_from_degrees(g: int, n: int, degrees: Sequence[int]) -> StabilityParameter:
@@ -238,14 +235,7 @@ def phi_from_degrees(g: int, n: int, degrees: Sequence[int]) -> StabilityParamet
     This is the parameter under which the line bundle twisted by the degree
     vector along the markings is stable; it is always nondegenerate.
     """
-    degrees = _check_degrees(g, n, degrees)
-    coords = tuple(Fraction(degree_sum(degrees, pair)) for pair in admissible_pairs(g, n))
-    return StabilityParameter._of(g, n, coords)
-
-
-def degree_sum(degrees: Sequence[int], pair: BoundaryPair) -> int:
-    """Partial sum d_S of a degree vector over the marking side S."""
-    return sum(degrees[j - 1] for j in pair.S)
+    return StabilityParameter._of(g, n, tuple(map(Fraction, side_degrees(g, n, degrees)[1])))
 
 
 def phi_from_label(label: PolytopeLabel) -> StabilityParameter:
@@ -361,7 +351,7 @@ def check_compatibility(pG: GraphParameter, edge_indices: Iterable[int], pH: Gra
 
 def ell(pG: GraphParameter, subset: Iterable[str], d: int) -> Fraction:
     """The affine functional d - phi(subset) + (#crossing edges)/2 whose zero locus is a wall."""
-    V0 = frozenset(subset)
+    V0 = frozenset(_as_iterable(subset, "subset", GraphMismatch))
     G = pG.graph
     if not V0 <= set(G.vertices):
         raise GraphMismatch(f"subset {sorted(V0)} contains non-vertices")

@@ -1,5 +1,6 @@
 import inspect
 import json
+import sys
 
 import pytest
 
@@ -479,6 +480,36 @@ def test_seed_over_the_digit_limit_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("JACWALL_SEED", BIG)
     assert main(["check", "--trials", "0"]) == 2
     assert capsys.readouterr() == ("", f"error: JACWALL_SEED must be an integer, got {BIG!r}\n")
+
+
+def test_deeply_nested_file_exits_2(tmp_path, capsys):
+    # the JSON decoder gives up on deep nesting with RecursionError, which is not a ValueError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(POLYTOPE_22 + ["--phi", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+
+_3000 = 10**2999  # 3,000 digits, under the limit on reading; the results come out longer
+_4300 = 10**4300 - 1  # the longest integer that can be read
+BIG_RESULT = [
+    ["pullback", "--g", "2", "--n", "2", "--degrees", f"{_3000},{1 - _3000}"],
+    ["compare", "--g", "2", "--n", "2", "--degrees", f"{_3000},{1 - _3000}"],
+    ["polytope", "--g", "2", "--n", "4", "--from-degrees", f"{_4300},{_4300},{-_4300},{1 - _4300}"],
+    ["wall-cross", "--g", "2", "--n", "4", "--phi1", f"fromdeg:{_4300},{_4300},{-_4300},{1 - _4300}",
+     "--phi2", "fromdeg:1,0,0,0"],
+]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", BIG_RESULT, ids=["pullback", "compare", "polytope", "wall-cross"])
+def test_result_over_the_digit_limit_exits_2_with_nothing_printed(argv, json_flag, capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main(argv + json_flag) == 2
+    assert capsys.readouterr() == (
+        "", f"error: a result has over {limit} digits, Python's limit for writing an integer\n"
+    )
 
 
 def test_file_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -39,7 +39,7 @@ from jacwall import (
     zero_class,
 )
 from jacwall.divisor_classes import compare_classes
-from testutil import GN_SET, random_degrees, random_parameter
+from testutil import GN_SET, random_degrees, random_parameter, reference_classes
 
 F = Fraction
 
@@ -357,3 +357,32 @@ def test_twist_divisor_coeffs_are_minus_connecting_twist():
             polytope_label(phi_from_degrees(g, n, degrees)), polytope_label(phi)
         )
         assert coeffs == {p: -t for p, t in transporter.items()}
+
+
+@pytest.mark.parametrize("g, n", [(0, 5), (1, 4), (3, 3), (4, 5), (5, 7), (2, 8)])
+def test_class_formulas_match_the_per_pair_reference(g, n):
+    # every formula reads d_S from one subset-sum table; the reference sums each S on its own
+    rng = random.Random(f"classes:{g}:{n}")
+    vectors = [random_degrees(rng, g, n) for _ in range(40)]
+    chosen = [d for d in vectors if any(x < 0 for x in d)][:3] + [d for d in vectors if min(d) >= 0][:1]
+    assert len(chosen) >= 3
+    for degrees in chosen:
+        phi = random_parameter(rng, g, n)
+        ref = reference_classes(phi, degrees)
+        assert phi_from_degrees(g, n, degrees).values == ref["phi_d"]
+        assert theta_pullback(phi, degrees).coeffs == ref["pullback"]
+        assert stable_pairs_class(g, n, degrees).coeffs == ref["stable-pairs"]
+        assert hain_class(g, n, degrees).coeffs == ref["hain"]
+        assert twist_divisor_coeffs(phi, degrees) == ref["twist"]
+        found = compare_classes(g, n, degrees)
+        assert found.classes["stable-pairs"].coeffs == ref["stable-pairs"]
+        assert found.classes["hain"].coeffs == ref["hain"]
+        assert found.T == ref["T"]
+        if ref["T"] is None:
+            with pytest.raises(NoNegativeDegree):
+                mueller_class(g, n, degrees)
+            continue
+        assert mueller_class(g, n, degrees).coeffs == ref["mueller"] == found.classes["mueller"].coeffs
+        t_set, diff = mueller_comparison(g, n, degrees)
+        assert t_set == ref["T"]
+        assert diff.coeffs == ref["mueller_diff"] == found.diff.coeffs

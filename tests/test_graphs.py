@@ -26,7 +26,7 @@ from jacwall import (
     normalize_pair,
     two_vertex_graph,
 )
-from jacwall.graphs import _compositions, _tree_code, _tree_shapes
+from jacwall.graphs import _compositions, _tree_code, _tree_shapes, side_sums
 from testutil import permutation_key, reference_contract
 
 
@@ -314,6 +314,20 @@ def test_two_vertex_graph_succeeds_exactly_on_admissible_pairs():
                     else:
                         with pytest.raises(InadmissiblePair):
                             two_vertex_graph(g, n, candidate)
+
+
+HUGE = 10**4999  # 5,000 digits, past the length int() reads from text
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_side_sums_match_a_per_pair_sum(data):
+    n = data.draw(st.integers(1, 9), label="n")
+    g = data.draw(st.integers(0 if n >= 3 else 1, 3), label="g")
+    value = st.one_of(st.integers(-20, 20), st.integers(-9, 9).map(lambda k: k * HUGE + k))
+    values = data.draw(st.lists(value, min_size=n, max_size=n), label="values")
+    expected = [sum(values[j - 1] for j in pair.S) for pair in admissible_pairs(g, n)]
+    assert side_sums(g, n, values) == expected
 
 
 def test_normalize_pair_flips_side():

@@ -76,3 +76,16 @@ def test_only_jsonio_loads_json():
     ]
     assert SOURCES, "no library sources found"
     assert found == []
+
+
+def test_only_graphs_reads_marking_masks():
+    # how a side S is encoded as a mask is known to graphs alone; every d_S comes from graphs.side_sums
+    found = [
+        f"{path.name}:{lineno}"
+        for path in SOURCES
+        if path.name != "graphs.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "_pair_by_key" in line or " in pair.S" in line
+    ]
+    assert SOURCES, "no library sources found"
+    assert found == []

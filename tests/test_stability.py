@@ -15,12 +15,15 @@ from jacwall import (
     EmptyOrFullSubset,
     GraphMismatch,
     GraphParameter,
+    InadmissiblePair,
+    InvalidGraph,
     InvalidParameter,
     MarkedGraph,
     NonAmple,
     NotTreeLike,
     PolytopeLabel,
     StabilityParameter,
+    TorsionFreeDegree,
     admissible_pairs,
     boundary_pair_of_edge,
     canonical_parameter,
@@ -35,12 +38,15 @@ from jacwall import (
     first_wall,
     genus,
     is_nondegenerate,
+    is_semistable,
     is_theta_flat,
     is_theta_reduced,
+    normalize_pair,
     phi_from_degrees,
     phi_from_label,
     phi_from_slope,
     polytope_label,
+    theta_pullback,
     twist_label,
     twist_parameter,
     two_vertex_graph,
@@ -325,6 +331,36 @@ def test_container_arguments_must_be_mappings():
         with pytest.raises(InvalidParameter, match=f"^{name} must be a mapping, got "):
             build()
     assert phi_from_slope(G, A, None) == phi_from_slope(G, A, {})
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda G, pG: MarkedGraph([2], [], {1: "v1"}), InvalidGraph, "genera must be a mapping, got [2]"),
+        (lambda G, pG: MarkedGraph({"v1": 2}, 5, {1: "v1"}), InvalidGraph, "edges must be iterable, got 5"),
+        (lambda G, pG: MarkedGraph({"v1": 2}, [], 5), InvalidGraph, "markings must be a mapping, got 5"),
+        (lambda G, pG: TorsionFreeDegree(G, [1, 0]), DegreeSumMismatch, "norm_deg must be a mapping, got [1, 0]"),
+        (lambda G, pG: TorsionFreeDegree(G, 5), DegreeSumMismatch, "norm_deg must be a mapping, got 5"),
+        (lambda G, pG: TorsionFreeDegree(G, {"v1": 1, "v2": 0}, 5), InvalidGraph, "failures must be iterable, got 5"),
+        (lambda G, pG: contract(G, None), InvalidGraph, "edge_indices must be iterable, got None"),
+        (lambda G, pG: normalize_pair(2, 2, 1, 5), InadmissiblePair, "markings must be iterable, got 5"),
+        (lambda G, pG: ell(pG, 5, 0), GraphMismatch, "subset must be iterable, got 5"),
+        (lambda G, pG: BoundaryPair(1, 5), InadmissiblePair, "S must be iterable, got 5"),
+        (lambda G, pG: is_semistable(pG, None), GraphMismatch, "F must be a TorsionFreeDegree, got None"),
+        (lambda G, pG: phi_from_degrees(2, 2, None), DegreeSumMismatch, "degrees must be iterable, got None"),
+        (lambda G, pG: theta_pullback(phi_from_degrees(2, 2, [1, 0]), 5), DegreeSumMismatch, "degrees must be iterable, got 5"),
+    ],
+    ids=[
+        "graph-genera", "graph-edges", "graph-markings", "sheaf-list", "sheaf-int", "sheaf-failures",
+        "contract", "normalize-pair", "ell", "boundary-pair", "is-semistable", "phi-from-degrees", "theta-pullback",
+    ],
+)
+def test_container_arguments_raise_their_own_error(build, error, message):
+    # a list, an int or None where a mapping or an iterable belongs raised a bare TypeError or AttributeError
+    G = two_vertex_graph(2, 2, pair(1, 1))
+    pG = extend_to_graph(phi_from_degrees(2, 2, [1, 0]), G)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(G, pG)
+
 
 def test_phi_from_slope_without_twist_is_half_dualizing(corpus3):
     rng = random.Random(3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -169,3 +170,50 @@ def permutation_key(G: MarkedGraph) -> tuple:
             tuple(p[m] for m in marks),
         ))
     return min(keys)
+
+
+# -- the class formulas, pair by pair ------------------------------------------------
+
+
+def _c2(m: int) -> int:
+    return m * (m - 1) // 2
+
+
+def reference_classes(phi: StabilityParameter, degrees) -> dict:
+    """Every class formula of a parameter and a degree vector, summing d_S over S pair by pair.
+
+    Gives coefficient tuples in basis order (lambda, psi_j, delta_irr, delta
+    in pair order) under "phi_d", "pullback", "stable-pairs", "hain" and, when
+    some degree is negative, "mueller" and "mueller_diff"; "T" (or None) and
+    "twist" as a pair-to-coefficient dict.  The label is the integer nearest
+    each coordinate, and "every degree on S is positive" is tested per marking.
+    """
+    g, n = phi.g, phi.n
+    pairs = admissible_pairs(g, n)
+    side = [sum(degrees[j - 1] for j in sorted(pair.S)) for pair in pairs]
+    label = [math.floor(value + Fraction(1, 2)) for value in phi.values]
+    head = (Fraction(-1),) + tuple(Fraction(_c2(d + 1)) for d in degrees)
+
+    def form(delta_irr, delta) -> tuple:
+        return head + (Fraction(delta_irr),) + tuple(map(Fraction, delta))
+
+    pairs_delta = [-_c2(d_s - p.i + 1) for p, d_s in zip(pairs, side)]
+    out = {
+        "phi_d": tuple(map(Fraction, side)),
+        "pullback": form(0, [_c2(d - p.i + 1) + c for p, d, c in zip(pairs, label, pairs_delta)]),
+        "stable-pairs": form(0, pairs_delta),
+        "hain": form(Fraction(1, 8), pairs_delta),
+        "twist": {p: d_s - d for p, d_s, d in zip(pairs, side, label)},
+        "T": None,
+    }
+    if any(d < 0 for d in degrees):
+        positive = [all(degrees[j - 1] > 0 for j in p.S) for p in pairs]
+        out["mueller"] = form(0, [
+            -_c2(abs(d_s - p.i) + 1) if pos else c for p, d_s, pos, c in zip(pairs, side, positive, pairs_delta)
+        ])
+        out["T"] = [p for p, d_s, pos in zip(pairs, side, positive) if pos and d_s < p.i]
+        t_set = set(out["T"])
+        out["mueller_diff"] = (Fraction(0),) * (n + 2) + tuple(
+            Fraction(p.i - d_s if p in t_set else 0) for p, d_s in zip(pairs, side)
+        )
+    return out
