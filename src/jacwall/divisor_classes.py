@@ -13,10 +13,11 @@ telescope against the wall-crossing steps.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import BasisMismatch, NoNegativeDegree
 from .graphs import BoundaryPair, _as_mapping, _checked_pair, admissible_pairs, check_gn, pair_index, side_sums

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and how its messages write a total.
 
 Every structured failure raises a subclass of JacwallError so that callers
 (and the CLI exit-code mapping) can distinguish malformed input, degenerate
@@ -6,6 +6,9 @@ parameters, graph-shape violations, and formula precondition violations.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 
 class JacwallError(Exception):
@@ -117,3 +120,15 @@ class BasisMismatch(JacwallError):
     """Divisor classes (or coefficient maps) over different (g, n), or a coefficient on a non-basis element."""
 
     exit_code = 5
+
+
+def sum_text(total) -> str:
+    """An int or Fraction total as str() writes it, or by its digit count when str() refuses it."""
+    try:
+        return str(total)
+    except ValueError:  # a numerator or denominator over sys.get_int_max_str_digits()
+        part = max(abs(total.numerator), total.denominator)
+        digits = int(math.log10(part)) + 1
+        digits += (part >= 10**digits) - (part < 10 ** (digits - 1))  # float log10 can be one off
+        limit = sys.get_int_max_str_digits()
+        return f"a number with {digits} digits, over Python's {limit}-digit limit for writing an integer"

@@ -219,7 +219,7 @@ class MarkedGraph:
     # -- validation ---------------------------------------------------------
 
     def _check_connected(self) -> None:
-        if not _induced_connected(self, frozenset(self.genus_of)):
+        if len(set(_components(self.genus_of, self.edges).values())) != 1:
             raise InvalidGraph("graph is not connected")
 
     def _check_stable(self) -> None:
@@ -264,44 +264,49 @@ def loop_free_circuit_rank(G: MarkedGraph) -> int:
 # -- contraction -------------------------------------------------------------
 
 
+def _components(vertices: Iterable[str], edges: Iterable[Edge]) -> dict[str, str]:
+    """Each vertex labelled by the smallest id of its component under the given edges."""
+    adjacency: dict[str, list[str]] = {v: [] for v in vertices}
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    # Walking from each unlabelled vertex in sorted order labels every component by its smallest id.
+    label: dict[str, str] = {}
+    for root in sorted(adjacency):
+        if root in label:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            for w in adjacency[stack.pop()]:
+                if w not in label:
+                    label[w] = root
+                    stack.append(w)
+    return label
+
+
 def contract(G: MarkedGraph, edge_indices: Iterable[int]) -> tuple[MarkedGraph, dict[str, str]]:
     """Contract the given edges, returning the new graph and the vertex map.
 
     Non-loop edges merge their endpoints (genera add); loops disappear and add
     1 to the genus of their vertex, as does every contracted edge that has
     become a loop after earlier merges.  The merged vertex takes the
-    lexicographically smallest constituent id, so the vertex map is
-    reproducible.  Edges outside the set are re-routed; parallel edges whose
-    endpoints merge are retained as loops.
+    lexicographically smallest constituent id, its `_components` label, so the
+    vertex map is reproducible.  Edges outside the set are re-routed; parallel
+    edges whose endpoints merge are retained as loops.
     """
     idxs = set(_as_iterable(edge_indices, "edge_indices", InvalidGraph))
     for i in sorted(idxs):
         if not 0 <= i < len(G.edges):
             raise InvalidGraph(f"edge index {i} out of range for {len(G.edges)} edges")
 
-    adjacency: dict[str, list[str]] = {v: [] for v in G.vertices}
-    for i in idxs:
-        a, b = G.edges[i]
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    # Walking from each unlabelled vertex in sorted order labels every class by its smallest id.
-    label: dict[str, str] = {}
-    new_genera: dict[str, int] = {}
-    for root in G.vertices:
-        if root in label:
-            continue
-        label[root] = root
-        new_genera[root] = 1
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            new_genera[root] += G.genus_of[v] - 1
-            for w in adjacency[v]:
-                if w not in label:
-                    label[w] = root
-                    stack.append(w)
-    for i in idxs:
-        new_genera[label[G.edges[i][0]]] += 1
+    contracted = [G.edges[i] for i in idxs]
+    label = _components(G.vertices, contracted)
+    new_genera = dict.fromkeys(label.values(), 1)  # labels in sorted order, as the walk met them
+    for v, root in label.items():
+        new_genera[root] += G.genus_of[v] - 1
+    for a, _ in contracted:
+        new_genera[label[a]] += 1
 
     new_edges = [(label[a], label[b]) for i, (a, b) in enumerate(G.edges) if i not in idxs]
     new_markings = {j: label[v] for j, v in G.marking_of.items()}
@@ -462,22 +467,8 @@ def _proper_subsets(G: MarkedGraph):
 
 
 def _induced_connected(G: MarkedGraph, subset: frozenset[str]) -> bool:
-    if not subset:
-        return False
-    adjacency: dict[str, list[str]] = {v: [] for v in subset}
-    for a, b in G.edges:
-        if a != b and a in subset and b in subset:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-    start = next(iter(subset))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(subset)
+    edges = [(a, b) for a, b in G.edges if a in subset and b in subset]
+    return bool(subset) and len(set(_components(subset, edges).values())) == 1
 
 
 def elementary_subgraphs_bruteforce(G: MarkedGraph) -> list[frozenset[str]]:
@@ -531,17 +522,23 @@ def _tree_code(k: int, edges: Iterable[tuple[int, int]], labels: Sequence) -> tu
 
 
 def _tree_shapes(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Trees on vertices 0..k-1 up to isomorphism, as (parent, child) edge tuples.
+    """Trees on vertices 0..k-1 up to isomorphism, as (parent, child) edge tuples with parent < child.
 
-    Walks the recursive trees, where each vertex v > 0 hangs from some u < v,
-    and keeps the first one of each shape; numbering the vertices of any tree
-    in breadth-first order makes it recursive, so every shape is met.
+    Grown from the one-vertex tree: each size hangs a new vertex from every
+    vertex of every shape kept at the size below, and keeps the first tree of
+    each shape.  A tree on two or more vertices has a leaf, and removing it
+    leaves a smaller tree, so every shape is met.  The order of the shapes
+    fixes the corpus order, which `jacwall check` samples from.
     """
-    shapes: dict[tuple, tuple[tuple[int, int], ...]] = {}
-    for parents in itertools.product(*(range(v) for v in range(1, k))):
-        edges = tuple(zip(parents, range(1, k)))
-        shapes.setdefault(_tree_code(k, edges, [0] * k), edges)
-    return tuple(shapes.values())
+    shapes: tuple[tuple[tuple[int, int], ...], ...] = ((),)
+    for size in range(1, k):
+        grown: dict[tuple, tuple[tuple[int, int], ...]] = {}
+        for tree in shapes:
+            for u in range(size):
+                edges = tree + ((u, size),)
+                grown.setdefault(_tree_code(size + 1, edges, [0] * (size + 1)), edges)
+        shapes = tuple(grown.values())
+    return shapes
 
 
 def _compositions(total: int, parts: int):

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .errors import (
     DegenerateParameter,
@@ -23,6 +23,7 @@ from .errors import (
     GraphMismatch,
     InvalidGraph,
     MalformedInput,
+    sum_text,
 )
 from .graphs import (
     MarkedGraph,
@@ -61,7 +62,7 @@ class TorsionFreeDegree:
         if sum(values.values()) + len(fail) != target:
             raise DegreeSumMismatch(
                 f"normalization degrees plus failures must equal g-1 = {target},"
-                f" got {sum(values.values())} + {len(fail)}"
+                f" got {sum_text(sum(values.values()))} + {len(fail)}"
             )
         self.graph = graph
         self.norm_deg = self.deg = MappingProxyType(values)

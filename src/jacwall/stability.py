@@ -24,6 +24,7 @@ from .errors import (
     InadmissiblePair,
     InvalidParameter,
     NonAmple,
+    sum_text,
 )
 from .graphs import (
     BoundaryPair,
@@ -156,7 +157,7 @@ class GraphParameter:
         total = sum(vals.values())
         target = genus(graph) - 1
         if total != target:
-            raise InvalidParameter(f"values must sum to g-1 = {target}, got {total}")
+            raise InvalidParameter(f"values must sum to g-1 = {target}, got {sum_text(total)}")
         self.graph = graph
         self.values: Mapping[str, Fraction] = MappingProxyType(vals)
 
@@ -225,7 +226,7 @@ def side_degrees(g: int, n: int, degrees: Sequence[int]) -> tuple[tuple[int, ...
     if len(degrees) != n or not all(type(d) is int for d in degrees):
         raise DegreeSumMismatch(f"expected {n} integer degrees, got {degrees!r}")
     if sum(degrees) != g - 1:
-        raise DegreeSumMismatch(f"degrees must sum to g-1 = {g - 1}, got {sum(degrees)}")
+        raise DegreeSumMismatch(f"degrees must sum to g-1 = {g - 1}, got {sum_text(sum(degrees))}")
     return degrees, side_sums(g, n, degrees)
 
 
@@ -351,6 +352,8 @@ def check_compatibility(pG: GraphParameter, edge_indices: Iterable[int], pH: Gra
 
 def ell(pG: GraphParameter, subset: Iterable[str], d: int) -> Fraction:
     """The affine functional d - phi(subset) + (#crossing edges)/2 whose zero locus is a wall."""
+    if type(d) is not int:
+        raise InvalidParameter(f"d must be an integer, got {d!r}")
     V0 = frozenset(_as_iterable(subset, "subset", GraphMismatch))
     G = pG.graph
     if not V0 <= set(G.vertices):

@@ -512,6 +512,17 @@ def test_result_over_the_digit_limit_exits_2_with_nothing_printed(argv, json_fla
     )
 
 
+def test_degree_sum_past_the_digit_limit_exits_5_with_its_digit_count(capsys):
+    # formatting the wrong sum of two 4,300-digit degrees raised ValueError, exit 1 with a traceback
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * limit
+    assert main(["pullback", "--g", "2", "--n", "2", "--degrees", f"{nines},{nines}"]) == 5
+    assert capsys.readouterr() == ("", (
+        f"error: degrees must sum to g-1 = 1, got a number with {limit + 1} digits,"
+        f" over Python's {limit}-digit limit for writing an integer\n"
+    ))
+
+
 def test_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"g": 2, "\xff": 1}')

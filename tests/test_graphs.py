@@ -27,7 +27,7 @@ from jacwall import (
     two_vertex_graph,
 )
 from jacwall.graphs import _compositions, _tree_code, _tree_shapes, side_sums
-from testutil import permutation_key, reference_contract
+from testutil import permutation_key, reference_contract, reference_tree_shapes
 
 
 def pair(i, *marks):
@@ -209,6 +209,35 @@ def test_contract_matches_union_find_on_positive_rank():
             assert list(vmap) == list(G.vertices) and vmap == ref_map
             for v in G.vertices:
                 assert vmap[v] == min(u for u in G.vertices if ref_map[u] == ref_map[v])
+
+
+def test_marked_graph_accepts_exactly_the_connected_graphs():
+    # connectedness judged by a union-find, on multigraphs of every rank with edges removed
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(300):
+        G = _random_positive_rank_graph(rng, rng.randint(2, 7))
+        kept = [e for e in G.edges if rng.random() < 0.6]
+        root = {v: v for v in G.vertices}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for a, b in kept:
+            root[find(a)] = find(b)
+        connected = len({find(v) for v in G.vertices}) == 1
+        genera = dict.fromkeys(G.vertices, 1)  # every vertex stable whatever edges remain
+        try:
+            H = MarkedGraph(genera, kept, G.marking_of)
+        except InvalidGraph as err:
+            assert not connected and str(err) == "graph is not connected"
+        else:
+            assert connected and H.edges == tuple(sorted(kept))
+        has_cycle = sum(a != b for a, b in kept) > len(G.vertices) - 1  # positive rank, when connected
+        outcomes.add((connected, has_cycle))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # -- boundary pairs -------------------------------------------------------------------
@@ -459,10 +488,17 @@ def _is_tree_on(k, edges):
 
 def test_tree_shapes_are_the_unlabelled_trees():
     # OEIS A000055: the number of trees on k unlabelled vertices
-    for k, count in zip(range(1, 8), (1, 1, 1, 2, 3, 6, 11)):
+    for k, count in zip(range(1, 11), (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)):
         shapes = _tree_shapes(k)
         assert len(shapes) == count
-        assert all(_is_tree_on(k, edges) for edges in shapes)
+        assert all(_is_tree_on(k, edges) and all(a < b for a, b in edges) for edges in shapes)
+        assert len({_tree_code(k, edges, [0] * k) for edges in shapes}) == count
+
+
+def test_tree_shapes_match_the_recursive_tree_walk():
+    # same edge tuples in the same order: `check` samples from the corpus by position
+    for k in range(1, 8):
+        assert _tree_shapes(k) == reference_tree_shapes(k)
 
 
 def test_tree_code_is_invariant_under_renumbering():

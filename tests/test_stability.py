@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -360,6 +361,34 @@ def test_container_arguments_raise_their_own_error(build, error, message):
     pG = extend_to_graph(phi_from_degrees(2, 2, [1, 0]), G)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build(G, pG)
+
+
+NINES = 9 * 10**4300  # its sum with itself has more digits than str() writes
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda G: GraphParameter(G, {"v1": NINES, "v2": NINES}), InvalidParameter),
+        (lambda G: TorsionFreeDegree(G, {"v1": NINES, "v2": NINES}), DegreeSumMismatch),
+        (lambda G: phi_from_degrees(2, 2, [NINES, NINES]), DegreeSumMismatch),
+    ],
+    ids=["graph-parameter", "sheaf", "phi-from-degrees"],
+)
+def test_sum_message_past_the_digit_limit_gives_the_digit_count(build, error):
+    # the messages wrote the wrong total with str(), which raised ValueError past the digit limit
+    limit = sys.get_int_max_str_digits()
+    G = two_vertex_graph(2, 2, pair(1, 1))
+    with pytest.raises(error, match=f"got a number with 4302 digits, over Python's {limit}-digit limit"):
+        build(G)
+
+
+@pytest.mark.parametrize("d", [0.5, "x", True, None, Fraction(1)], ids=["float", "str", "bool", "none", "fraction"])
+def test_ell_takes_an_integer_d(d):
+    # a float d returned a float, a string raised TypeError, and True was read as 1
+    pG = extend_to_graph(phi_from_degrees(2, 2, [1, 0]), two_vertex_graph(2, 2, pair(1, 1)))
+    with pytest.raises(InvalidParameter, match=f"^d must be an integer, got {re.escape(repr(d))}$"):
+        ell(pG, ["v1"], d)
 
 
 def test_phi_from_slope_without_twist_is_half_dualizing(corpus3):

@@ -15,6 +15,7 @@ from jacwall import (
     admissible_pairs,
     genus,
 )
+from jacwall.graphs import _tree_code
 from jacwall.stability import random_degrees, random_parameter  # noqa: F401  (re-exported)
 
 GN_SET = ((1, 2), (2, 1), (2, 2), (3, 2), (3, 3))
@@ -170,6 +171,20 @@ def permutation_key(G: MarkedGraph) -> tuple:
             tuple(p[m] for m in marks),
         ))
     return min(keys)
+
+
+def reference_tree_shapes(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Trees on 0..k-1 up to isomorphism, the first of each shape among all (k-1)! recursive trees.
+
+    A recursive tree hangs each vertex v > 0 from some u < v, with the parent
+    choices taken in lexicographic order; numbering the vertices of any tree in
+    breadth-first order makes it recursive, so every shape is met.
+    """
+    shapes: dict[tuple, tuple[tuple[int, int], ...]] = {}
+    for parents in itertools.product(*(range(v) for v in range(1, k))):
+        edges = tuple(zip(parents, range(1, k)))
+        shapes.setdefault(_tree_code(k, edges, [0] * k), edges)
+    return tuple(shapes.values())
 
 
 # -- the class formulas, pair by pair ------------------------------------------------
