@@ -13,11 +13,11 @@ telescope against the wall-crossing steps.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import BasisMismatch, NoNegativeDegree
 from .graphs import BoundaryPair, _as_mapping, _checked_pair, admissible_pairs, check_gn, pair_index, side_sums
@@ -289,13 +289,10 @@ def twist_divisor_coeffs(
 # -- the identities among the comparison classes ----------------------------------
 
 
-class ClassComparison(NamedTuple):
+class ClassComparison(namedtuple("ClassComparison", "classes T diff identities")):
     """What `jacwall compare` reports: the classes in column order, T, diff and the identities."""
 
-    classes: dict[str, DivisorClass]
-    T: list[BoundaryPair] | None
-    diff: DivisorClass | None
-    identities: list[tuple[str, bool]]
+    __slots__ = ()
 
 
 def compare_classes(g: int, n: int, degrees: Sequence[int]) -> ClassComparison:

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all modules, and how its messages write a total.
+"""Exception taxonomy shared by all modules, and how its messages write a total or a value.
 
 Every structured failure raises a subclass of JacwallError so that callers
 (and the CLI exit-code mapping) can distinguish malformed input, degenerate
@@ -132,3 +132,11 @@ def sum_text(total) -> str:
         digits += (part >= 10**digits) - (part < 10 ** (digits - 1))  # float log10 can be one off
         limit = sys.get_int_max_str_digits()
         return f"a number with {digits} digits, over Python's {limit}-digit limit for writing an integer"
+
+
+def repr_text(value) -> str:
+    """repr(value), or a note naming the limit when an integer in it is too long for repr() to write."""
+    try:
+        return repr(value)
+    except ValueError:  # an int over sys.get_int_max_str_digits(), alone or inside value
+        return f"a value over Python's {sys.get_int_max_str_digits()}-digit limit for writing an integer"

@@ -9,11 +9,11 @@ operations are safe to call concurrently.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Any, NamedTuple
 
 from .errors import (
     GraphMismatch,
@@ -82,11 +82,6 @@ class BoundaryPair:
         if self.i == 0 and len(self.S) < 2:
             return False
         return True
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        """Canonical order: by side genus, then by S as a bitmask."""
-        return (self.i, sum(1 << (j - 1) for j in self.S))
 
     def __str__(self) -> str:
         return "({},{{{}}})".format(self.i, ",".join(str(j) for j in sorted(self.S)))
@@ -318,33 +313,36 @@ def contract(G: MarkedGraph, edge_indices: Iterable[int]) -> tuple[MarkedGraph, 
 # -- boundary combinatorics ----------------------------------------------------
 
 
-class RootedTree(NamedTuple):
+class RootedTree(namedtuple("RootedTree", "order position parent size genus marks")):
     """The spanning tree of a rank-0 graph, walked once from its root (see `rooted_tree`).
 
     ``order`` is a preorder taking children in edge order, with ``position``
     of each vertex in it, so the subtree of v is ``size[v]`` long from there.
     ``parent`` maps every other vertex to the index of its parent edge and its
     parent vertex.  ``genus`` totals vertex genera plus loops over each subtree
-    and ``marks`` its markings, as a bitmask with bit j - 1 for marking j.
+    and ``marks`` its markings, as a bitmask with bit j - 1 for marking j;
+    `totals` sums values over each subtree, and `differences` undoes it.
     """
 
-    order: tuple[str, ...]
-    position: Mapping[str, int]
-    parent: Mapping[str, tuple[int, str]]
-    size: Mapping[str, int]
-    genus: Mapping[str, int]
-    marks: Mapping[str, int]
+    __slots__ = ()
 
     def subtree(self, v: str) -> frozenset[str]:
         k = self.position[v]
         return frozenset(self.order[k : k + self.size[v]])
 
-    def totals(self, values: Mapping[str, Any]) -> dict[str, Any]:
+    def totals(self, values: Mapping[str, object]) -> dict[str, object]:
         """Each vertex's value summed over its subtree, in one post-order pass."""
         total = dict(values)
         for v in reversed(self.order[1:]):
             total[self.parent[v][1]] += total[v]
         return total
+
+    def differences(self, sums: Mapping[str, object]) -> dict[str, object]:
+        """The inverse of `totals`: each vertex's subtree sum less those of its children."""
+        value = dict(sums)
+        for v in self.order[1:]:
+            value[self.parent[v][1]] -= sums[v]
+        return value
 
     def cut(self, v: str) -> tuple[BoundaryPair, bool]:
         """Pair (i, S) of the marking-1 side of v's parent edge, and whether it is v's subtree."""
@@ -421,7 +419,7 @@ def two_vertex_graph(g: int, n: int, pair: BoundaryPair) -> MarkedGraph:
 def admissible_pairs(g: int, n: int) -> tuple[BoundaryPair, ...]:
     """All admissible pairs (i, S) in canonical order (by i, then S as a bitmask)."""
     check_gn(g, n)
-    # The odd bitmasks are the sides S holding marking 1; increasing, they give the sort_key order.
+    # The odd bitmasks are the sides S holding marking 1; increasing, they give the canonical order.
     sides = [frozenset(j + 1 for j in range(n) if mask >> j & 1) for mask in range(1, 1 << n, 2)]
     pairs = (BoundaryPair(i, S) for i in range(g + 1) for S in sides)
     return tuple(pair for pair in pairs if pair.is_admissible(g, n))
@@ -435,8 +433,8 @@ def pair_index(g: int, n: int) -> dict[BoundaryPair, int]:
 
 @lru_cache(typed=True)
 def _pair_by_key(g: int, n: int) -> dict[tuple[int, int], BoundaryPair]:
-    """The admissible pairs of (g, n) keyed by their sort key (i, marking bitmask)."""
-    return {pair.sort_key: pair for pair in admissible_pairs(g, n)}
+    """The admissible pairs of (g, n) keyed by (i, S as a bitmask with bit j - 1 for marking j)."""
+    return {(pair.i, sum(1 << (j - 1) for j in pair.S)): pair for pair in admissible_pairs(g, n)}
 
 
 def side_sums(g: int, n: int, values: Sequence) -> list:

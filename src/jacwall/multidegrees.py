@@ -34,7 +34,6 @@ from .graphs import (
     elementary_subgraphs,
     genus,
     loop_free_circuit_rank,
-    rooted_tree,
 )
 from .stability import HALF, GraphParameter, _wall_hit
 
@@ -165,11 +164,11 @@ def _is_semistable_on_tree(pG: GraphParameter, F: TorsionFreeDegree, strict: boo
     With f = 1 when that edge is a failure, and both totals g - 1, the bounds
     on the two sides read phi(T) - 1/2 <= deg(T) <= phi(T) + 1/2 - f.
     """
-    tree = rooted_tree(pG.graph, pG.graph.vertices[0])
+    tree, phi = pG._tree_sums
     degree = dict(F.norm_deg)
     for i in F.failures:  # counted at the child end of its edge, or at the vertex of its loop
         degree[max(pG.graph.edges[i], key=tree.position.__getitem__)] += 1
-    phi, deg = tree.totals(pG.values), tree.totals(degree)
+    deg = tree.totals(degree)
     for v in tree.order[1:]:
         f = int(tree.parent[v][0] in F.failures)
         lo, hi, d = phi[v] - HALF, phi[v] + HALF - f, deg[v] - f
@@ -181,14 +180,13 @@ def _is_semistable_on_tree(pG: GraphParameter, F: TorsionFreeDegree, strict: boo
 def stable_multidegree(pG: GraphParameter) -> Multidegree:
     """The unique stable line-bundle multidegree on a rank-0 graph.
 
-    Rooting the spanning tree, the partial degree on every descendant subtree
-    is forced to the integer nearest its parameter sum; per-vertex degrees are
-    the subtree differences.  Raises DegenerateParameter when some subtree sum
-    is half-odd (the parameter sits on the corresponding wall).
+    Rooting the spanning tree at the first vertex (pG keeps that walk and its
+    sums), the partial degree on every descendant subtree is forced to the
+    integer nearest its parameter sum; per-vertex degrees are the subtree
+    differences.  Raises DegenerateParameter when some subtree sum is half-odd.
     """
     G = pG.graph
-    tree = rooted_tree(G, G.vertices[0])
-    subtree_sum = tree.totals(pG.values)
+    tree, subtree_sum = pG._tree_sums
 
     walls = [v for v in tree.order[1:] if _wall_hit(subtree_sum[v]) is not None]
     if walls:
@@ -207,10 +205,7 @@ def stable_multidegree(pG: GraphParameter) -> Multidegree:
         )
 
     rounded = {v: math.floor(s + HALF) for v, s in subtree_sum.items()}
-    deg = dict(rounded)
-    for v in tree.order[1:]:
-        deg[tree.parent[v][1]] -= rounded[v]
-    return Multidegree(G, deg)
+    return Multidegree(G, tree.differences(rounded))
 
 
 def all_stable_multidegrees_bruteforce(pG: GraphParameter, strict: bool = False) -> list[Multidegree]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -24,11 +25,13 @@ from .errors import (
     InadmissiblePair,
     InvalidParameter,
     NonAmple,
+    repr_text,
     sum_text,
 )
 from .graphs import (
     BoundaryPair,
     MarkedGraph,
+    RootedTree,
     _as_iterable,
     _as_mapping,
     admissible_pairs,
@@ -136,7 +139,7 @@ class PolytopeLabel(_PairVector):
     def _checked(label: Mapping[BoundaryPair, int]) -> dict[BoundaryPair, int]:
         for pair, d in label.items():
             if type(d) is not int:
-                raise InvalidParameter(f"label values must be integers, got {d!r} at {pair}")
+                raise InvalidParameter(f"label values must be integers, got {repr_text(d)} at {pair}")
         return dict(label)
 
     @property
@@ -166,6 +169,12 @@ class GraphParameter:
 
     def subset_sum(self, subset: Iterable[str]) -> Fraction:
         return sum((self.values[v] for v in subset), Fraction(0))
+
+    @cached_property
+    def _tree_sums(self) -> tuple[RootedTree, dict[str, Fraction]]:
+        """The rank-0 walk from the graph's first vertex and the values summed over each subtree."""
+        tree = rooted_tree(self.graph, self.graph.vertices[0])
+        return tree, tree.totals(self.values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphParameter):
@@ -224,7 +233,7 @@ def side_degrees(g: int, n: int, degrees: Sequence[int]) -> tuple[tuple[int, ...
     check_gn(g, n)
     degrees = tuple(_as_iterable(degrees, "degrees", DegreeSumMismatch))
     if len(degrees) != n or not all(type(d) is int for d in degrees):
-        raise DegreeSumMismatch(f"expected {n} integer degrees, got {degrees!r}")
+        raise DegreeSumMismatch(f"expected {n} integer degrees, got {repr_text(degrees)}")
     if sum(degrees) != g - 1:
         raise DegreeSumMismatch(f"degrees must sum to g-1 = {g - 1}, got {sum_text(sum(degrees))}")
     return degrees, side_sums(g, n, degrees)
@@ -321,19 +330,20 @@ def extend_to_graph(
     Rooting the spanning tree anywhere, the sum over each descendant subtree
     is prescribed by the coordinate of the boundary pair its parent edge cuts
     out; vertex values are recovered as subtree-sum differences.  The result
-    does not depend on the chosen root.
+    does not depend on the chosen root, but the wall `stable_multidegree`
+    names does, so only a walk from the first vertex is kept for it to reuse.
     """
     tree = rooted_tree(G, G.vertices[0] if root is None else root)
     if genus(G) != phi.g or G.n != phi.n:
-        raise GraphMismatch(
-            f"graph has (g,n)=({genus(G)},{G.n}) but parameter has ({phi.g},{phi.n})"
-        )
-    values = {tree.order[0]: Fraction(phi.g - 1)}
-    for v in tree.order[1:]:  # preorder: a parent's entry is set before its children subtract
+        raise GraphMismatch(f"graph has (g,n)=({genus(G)},{G.n}) but parameter has ({phi.g},{phi.n})")
+    sums = {tree.order[0]: Fraction(phi.g - 1)}
+    for v in tree.order[1:]:
         pair, below = tree.cut(v)
-        values[v] = s = phi.phi_plus(pair) if below else phi.phi_minus(pair)
-        values[tree.parent[v][1]] -= s
-    return GraphParameter(G, values)
+        sums[v] = phi.phi_plus(pair) if below else phi.phi_minus(pair)
+    pG = GraphParameter(G, tree.differences(sums))
+    if tree.order[0] == G.vertices[0]:
+        pG._tree_sums = tree, sums
+    return pG
 
 
 def check_compatibility(pG: GraphParameter, edge_indices: Iterable[int], pH: GraphParameter) -> bool:
@@ -353,7 +363,7 @@ def check_compatibility(pG: GraphParameter, edge_indices: Iterable[int], pH: Gra
 def ell(pG: GraphParameter, subset: Iterable[str], d: int) -> Fraction:
     """The affine functional d - phi(subset) + (#crossing edges)/2 whose zero locus is a wall."""
     if type(d) is not int:
-        raise InvalidParameter(f"d must be an integer, got {d!r}")
+        raise InvalidParameter(f"d must be an integer, got {repr_text(d)}")
     V0 = frozenset(_as_iterable(subset, "subset", GraphMismatch))
     G = pG.graph
     if not V0 <= set(G.vertices):

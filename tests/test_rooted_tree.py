@@ -1,19 +1,26 @@
 """The rank-0 tree pass against a drop-the-edge reference search, and the rank-0 semistability
-route against the elementary sides one by one, on trees of up to 200 vertices."""
+route against the elementary sides one by one, on trees of up to 200 vertices; one walk of the
+graph serves a parameter's extension, its stable multidegree and its semistability tests."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+import jacwall.graphs
+import jacwall.multidegrees
+import jacwall.stability
 from jacwall import (
+    DegenerateParameter,
     GraphMismatch,
     GraphParameter,
     MarkedGraph,
     NotTreeLike,
+    StabilityParameter,
     TorsionFreeDegree,
     admissible_pairs,
     boundary_pair_of_edge,
+    canonical_parameter,
     elementary_subgraphs,
     extend_to_graph,
     genus,
@@ -168,3 +175,93 @@ def test_rooted_tree_errors():
     assert rooted_tree(single, "a").order == ("a",)
     with pytest.raises(GraphMismatch):
         rooted_tree(single, "nope")
+
+
+@pytest.mark.parametrize("k", SIZES)
+@pytest.mark.parametrize("shape", TREE_SHAPES)
+def test_differences_and_totals_are_inverse(shape, k):
+    G = _graph(shape, k)
+    rng = random.Random(f"sums:{shape}:{k}")
+    for root in (G.vertices[0], G.marking_of[1], G.vertices[-1]):
+        tree = rooted_tree(G, root)
+        for draw in (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 10))):
+            x = {v: draw() for v in G.vertices}
+            assert tree.differences(tree.totals(x)) == x
+            assert tree.totals(tree.differences(x)) == x
+
+
+def _count_walks(monkeypatch) -> list:
+    """The roots of every `rooted_tree` walk made from now on, through any module that calls it."""
+    walks = []
+
+    def counting(G, root):
+        walks.append(root)
+        return rooted_tree(G, root)
+
+    for module in (jacwall.graphs, jacwall.stability, jacwall.multidegrees):
+        if hasattr(module, "rooted_tree"):
+            monkeypatch.setattr(module, "rooted_tree", counting)
+    return walks
+
+
+@pytest.mark.parametrize("shape", TREE_SHAPES)
+def test_one_walk_serves_extension_multidegree_and_semistability(shape, monkeypatch):
+    # each of the three used to walk the graph from its first vertex again
+    G = _graph(shape, 50)
+    phi = random_parameter(random.Random(f"walks:{shape}"), genus(G), G.n)
+    walks = _count_walks(monkeypatch)
+    pG = extend_to_graph(phi, G)
+    assert is_semistable(pG, stable_multidegree(pG), strict=True)
+    assert walks == [G.vertices[0]]
+    # from another root the extension keeps no walk: the wall stable_multidegree names depends on the root
+    walks.clear()
+    pG = extend_to_graph(phi, G, root=G.vertices[-1])
+    assert is_semistable(pG, stable_multidegree(pG), strict=True)
+    assert walks == [G.vertices[-1], G.vertices[0]]
+
+
+def _on_walls(rng, G, phi, count):
+    """phi with the coordinates that `count` random tree edges cut moved onto walls d + 1/2."""
+    tree = rooted_tree(G, G.vertices[0])
+    coords = dict(phi.coords)
+    for v in rng.sample(tree.order[1:], min(count, len(tree.order) - 1)):
+        coords[tree.cut(v)[0]] = Fraction(2 * rng.randint(-3, 3) + 1, 2)
+    return StabilityParameter(phi.g, phi.n, coords)
+
+
+def _outcome(pG, sheaves):
+    """stable_multidegree's result or wall (pair, d, message), and the (semi)stability verdicts."""
+    try:
+        md = stable_multidegree(pG)
+        result = (md, repr(md))
+    except DegenerateParameter as wall:
+        result = (wall.pair, wall.d, str(wall))
+    return result, [is_semistable(pG, F, strict) for F in sheaves for strict in (False, True)]
+
+
+def _assert_kept_walk_changes_nothing(rng, G, sheaves):
+    """A filled parameter, one extended from another root and an unfilled copy give the same answers."""
+    g = genus(G)
+    phi = random_parameter(rng, g, G.n)
+    for phi in (phi, _on_walls(rng, G, phi, 1), _on_walls(rng, G, phi, 3), canonical_parameter(g, G.n)):
+        pG = extend_to_graph(phi, G)
+        variants = (pG, extend_to_graph(phi, G, root=G.vertices[-1]), GraphParameter(G, dict(pG.values)))
+        outcomes = [_outcome(p, sheaves) for p in variants]
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+@pytest.mark.parametrize("k", SIZES)
+@pytest.mark.parametrize("shape", TREE_SHAPES)
+def test_kept_walk_gives_the_same_answers_on_the_ladder(shape, k):
+    G = _graph(shape, k)
+    rng = random.Random(f"kept:{shape}:{k}")
+    md = stable_multidegree(extend_to_graph(random_parameter(rng, genus(G), G.n), G))
+    _assert_kept_walk_changes_nothing(rng, G, _sheaves(rng, G, md))
+
+
+def test_kept_walk_gives_the_same_answers_on_the_corpus(corpus4):
+    rng = random.Random("kept:corpus4")
+    for graphs in corpus4.values():
+        for G in graphs:
+            sheaves = [random_sheaf(rng, G, 0.0), random_sheaf(rng, G, 0.5)]
+            _assert_kept_walk_changes_nothing(rng, G, sheaves)

@@ -383,6 +383,30 @@ def test_sum_message_past_the_digit_limit_gives_the_digit_count(build, error):
         build(G)
 
 
+HUGE_THIRD = Fraction(10**5000, 3)  # its numerator has more digits than repr() writes
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda pG: phi_from_degrees(2, 3, [10**5000, 1]), DegreeSumMismatch, "expected 3 integer degrees, got"),
+        (lambda pG: ell(pG, ["v1"], HUGE_THIRD), InvalidParameter, "d must be an integer, got"),
+        (
+            lambda pG: PolytopeLabel(2, 2, {p: HUGE_THIRD if p == pair(1, 1) else 0 for p in admissible_pairs(2, 2)}),
+            InvalidParameter,
+            "label values must be integers, got",
+        ),
+    ],
+    ids=["degree-count", "ell-d", "label-value"],
+)
+def test_rejected_value_past_the_digit_limit_is_named_by_the_limit(build, error, message):
+    # the messages wrote the rejected value with repr(), which raised ValueError past the digit limit
+    limit = sys.get_int_max_str_digits()
+    pG = extend_to_graph(phi_from_degrees(2, 2, [1, 0]), two_vertex_graph(2, 2, pair(1, 1)))
+    with pytest.raises(error, match=f"^{message} a value over Python's {limit}-digit limit for writing an integer"):
+        build(pG)
+
+
 @pytest.mark.parametrize("d", [0.5, "x", True, None, Fraction(1)], ids=["float", "str", "bool", "none", "fraction"])
 def test_ell_takes_an_integer_d(d):
     # a float d returned a float, a string raised TypeError, and True was read as 1
