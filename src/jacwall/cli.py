@@ -79,9 +79,9 @@ def _gn_file(path: str, decode, noun: str, g: int, n: int):
 def _resolve_phi(args, g: int, n: int):
     """The parameter of the --phi, --from-degrees or --from-label flag given, or None."""
     if args.phi is not None:
-        return _phi_from_spec(f"file:{args.phi}", g, n)
+        return _gn_file(args.phi, jsonio.parameter_from_json, "parameter", g, n)
     if args.from_degrees is not None:
-        return _phi_from_spec(f"fromdeg:{args.from_degrees}", g, n)
+        return phi_from_degrees(g, n, jsonio.parse_int_list(args.from_degrees))
     if args.from_label is not None:
         return phi_from_label(_gn_file(args.from_label, jsonio.label_from_json, "label", g, n))
     return None

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import BasisMismatch, NoNegativeDegree
+from .errors import BasisMismatch, NoNegativeDegree, repr_text
 from .graphs import BoundaryPair, _as_mapping, _checked_pair, admissible_pairs, check_gn, pair_index, side_sums
 from .stability import StabilityParameter, _as_fraction, phi_from_degrees, polytope_label, side_degrees
 
@@ -63,7 +63,7 @@ class DivisorClass:
         coeffs[0] = _as_fraction(lam)
         for j, c in _as_mapping({} if psi is None else psi, "psi").items():
             if type(j) is not int or not 1 <= j <= n:
-                raise BasisMismatch(f"psi index must lie in 1..{n}, got {j!r}")
+                raise BasisMismatch(f"psi index must lie in 1..{n}, got {repr_text(j)}")
             coeffs[j] = _as_fraction(c)
         coeffs[n + 1] = _as_fraction(delta_irr)
         for pair, c in _as_mapping({} if delta is None else delta, "delta").items():
@@ -103,7 +103,7 @@ class DivisorClass:
 
     def psi_coeff(self, j: int) -> Fraction:
         if type(j) is not int or not 1 <= j <= self.n:
-            raise BasisMismatch(f"psi index must lie in 1..{self.n}, got {j!r}")
+            raise BasisMismatch(f"psi index must lie in 1..{self.n}, got {repr_text(j)}")
         return self.coeffs[j]
 
     def delta_coeff(self, pair: BoundaryPair) -> Fraction:

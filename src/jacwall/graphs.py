@@ -16,7 +16,6 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .errors import (
-    GraphMismatch,
     InadmissiblePair,
     InvalidGN,
     InvalidGraph,
@@ -24,6 +23,7 @@ from .errors import (
     JacwallError,
     LoopEdge,
     NotTreeLike,
+    repr_text,
 )
 
 Edge = tuple[str, str]
@@ -32,7 +32,7 @@ Edge = tuple[str, str]
 def check_gn(g: int, n: int) -> None:
     """Validate a (genus, marking count) pair, raising InvalidGN otherwise."""
     if type(g) is not int or type(n) is not int:  # not isinstance: bool is an int subclass
-        raise InvalidGN(f"g and n must be integers, got g={g!r}, n={n!r}")
+        raise InvalidGN(f"g and n must be integers, got g={repr_text(g)}, n={repr_text(n)}")
     if g < 0:
         raise InvalidGN(f"genus must be nonnegative, got g={g}")
     if n < 1:
@@ -44,14 +44,14 @@ def check_gn(g: int, n: int) -> None:
 def _as_mapping(value, name: str, error: type[JacwallError] = InvalidParameter) -> Mapping:
     """value itself when it is a mapping; error naming the argument otherwise."""
     if not isinstance(value, Mapping):
-        raise error(f"{name} must be a mapping, got {value!r}")
+        raise error(f"{name} must be a mapping, got {repr_text(value)}")
     return value
 
 
 def _as_iterable(value, name: str, error: type[JacwallError]) -> Iterable:
     """value itself when it is iterable; error naming the argument otherwise."""
     if not isinstance(value, Iterable):
-        raise error(f"{name} must be iterable, got {value!r}")
+        raise error(f"{name} must be iterable, got {repr_text(value)}")
     return value
 
 
@@ -69,7 +69,7 @@ class BoundaryPair:
         if 1 not in self.S:
             raise InadmissiblePair(f"marking 1 must lie on the S side, got S={sorted(self.S)}")
         if type(self.i) is not int or self.i < 0:
-            raise InadmissiblePair(f"side genus must be a nonnegative integer, got i={self.i!r}")
+            raise InadmissiblePair(f"side genus must be a nonnegative integer, got i={repr_text(self.i)}")
 
     def is_admissible(self, g: int, n: int) -> bool:
         """True when (i, S) indexes a boundary divisor of the genus-g, n-marked moduli space."""
@@ -95,7 +95,7 @@ def normalize_pair(g: int, n: int, i: int, markings: Iterable[int]) -> BoundaryP
     """
     check_gn(g, n)
     if type(i) is not int:  # before the complement below turns a bool into an int
-        raise InadmissiblePair(f"side genus must be a nonnegative integer, got i={i!r}")
+        raise InadmissiblePair(f"side genus must be a nonnegative integer, got i={repr_text(i)}")
     S = frozenset(_as_iterable(markings, "markings", InadmissiblePair))
     all_marks = frozenset(range(1, n + 1))
     if not S <= all_marks:
@@ -136,27 +136,27 @@ class MarkedGraph:
             raise InvalidGraph("a graph needs at least one vertex")
         for v, gv in genus_of.items():
             if not isinstance(v, str) or not v:
-                raise InvalidGraph(f"vertex ids must be nonempty strings, got {v!r}")
+                raise InvalidGraph(f"vertex ids must be nonempty strings, got {repr_text(v)}")
             if type(gv) is not int or gv < 0:
-                raise InvalidGraph(f"genus of {v} must be a nonnegative integer, got {gv!r}")
+                raise InvalidGraph(f"genus of {v} must be a nonnegative integer, got {repr_text(gv)}")
 
         edge_list: list[Edge] = []
         for e in _as_iterable(edges, "edges", InvalidGraph):
             try:
                 a, b = e
             except (TypeError, ValueError):
-                raise InvalidGraph(f"an edge needs exactly two endpoints, got {e!r}") from None
+                raise InvalidGraph(f"an edge needs exactly two endpoints, got {repr_text(e)}") from None
             if not (isinstance(a, str) and isinstance(b, str) and a in genus_of and b in genus_of):
-                raise InvalidGraph(f"edge ({a!r},{b!r}) has an unknown endpoint")
+                raise InvalidGraph(f"edge ({repr_text(a)},{repr_text(b)}) has an unknown endpoint")
             edge_list.append((a, b) if a <= b else (b, a))
         edge_list.sort()
 
         marking_of = {}
         for j, v in dict(_as_mapping(markings, "markings", InvalidGraph)).items():
             if type(j) is not int:
-                raise InvalidGraph(f"marking labels must be integers, got {j!r}")
+                raise InvalidGraph(f"marking labels must be integers, got {repr_text(j)}")
             if not isinstance(v, str) or v not in genus_of:
-                raise InvalidGraph(f"marking {j} placed on unknown vertex {v!r}")
+                raise InvalidGraph(f"marking {j} placed on unknown vertex {repr_text(v)}")
             marking_of[j] = v
         n = len(marking_of)
         if set(marking_of) != set(range(1, n + 1)) or n < 1:
@@ -280,6 +280,13 @@ def _components(vertices: Iterable[str], edges: Iterable[Edge]) -> dict[str, str
     return label
 
 
+def _checked_edge_index(G: MarkedGraph, i) -> int:
+    """i itself when it is an int indexing an edge of G; InvalidGraph naming it otherwise."""
+    if type(i) is not int or not 0 <= i < len(G.edges):
+        raise InvalidGraph(f"edge index {repr_text(i)} out of range for {len(G.edges)} edges")
+    return i
+
+
 def contract(G: MarkedGraph, edge_indices: Iterable[int]) -> tuple[MarkedGraph, dict[str, str]]:
     """Contract the given edges, returning the new graph and the vertex map.
 
@@ -290,11 +297,7 @@ def contract(G: MarkedGraph, edge_indices: Iterable[int]) -> tuple[MarkedGraph, 
     vertex map is reproducible.  Edges outside the set are re-routed; parallel
     edges whose endpoints merge are retained as loops.
     """
-    idxs = set(_as_iterable(edge_indices, "edge_indices", InvalidGraph))
-    for i in sorted(idxs):
-        if not 0 <= i < len(G.edges):
-            raise InvalidGraph(f"edge index {i} out of range for {len(G.edges)} edges")
-
+    idxs = {_checked_edge_index(G, i) for i in _as_iterable(edge_indices, "edge_indices", InvalidGraph)}
     contracted = [G.edges[i] for i in idxs]
     label = _components(G.vertices, contracted)
     new_genera = dict.fromkeys(label.values(), 1)  # labels in sorted order, as the walk met them
@@ -314,7 +317,7 @@ def contract(G: MarkedGraph, edge_indices: Iterable[int]) -> tuple[MarkedGraph, 
 
 
 class RootedTree(namedtuple("RootedTree", "order position parent size genus marks")):
-    """The spanning tree of a rank-0 graph, walked once from its root (see `rooted_tree`).
+    """The spanning tree of a rank-0 graph, walked once from its first vertex (see `rooted_tree`).
 
     ``order`` is a preorder taking children in edge order, with ``position``
     of each vertex in it, so the subtree of v is ``size[v]`` long from there.
@@ -357,13 +360,12 @@ class RootedTree(namedtuple("RootedTree", "order position parent size genus mark
         return pair, below
 
 
-def rooted_tree(G: MarkedGraph, root: str) -> RootedTree:
-    """One depth-first walk over the spanning tree of a rank-0 graph, in O(V + E)."""
+def rooted_tree(G: MarkedGraph) -> RootedTree:
+    """One depth-first walk over the spanning tree of a rank-0 graph from its first vertex, in O(V + E)."""
     rank = loop_free_circuit_rank(G)
     if rank != 0:
         raise NotTreeLike(f"the graph has loop-free circuit rank {rank}, not 0")
-    if root not in G.genus_of:
-        raise GraphMismatch(f"root {root!r} is not a vertex of the graph")
+    root = G.vertices[0]
     adjacency: dict[str, list[tuple[int, str]]] = {v: [] for v in G.vertices}
     for i in reversed(G.nonloop_indices):  # so the stack pops children in edge order
         a, b = G.edges[i]
@@ -398,14 +400,15 @@ def boundary_pair_of_edge(G: MarkedGraph, edge_index: int) -> tuple[BoundaryPair
 
     Removing the edge splits the vertices in two; the returned pair records
     the arithmetic genus (vertex genera plus loops) and markings of the side
-    containing marking 1, which is also returned.
+    containing marking 1, which is also returned; both are read off the walk of `rooted_tree`.
     """
-    tree = rooted_tree(G, G.marking_of[1])
-    a, b = G.edges[edge_index]
+    tree = rooted_tree(G)
+    a, b = G.edges[_checked_edge_index(G, edge_index)]
     if a == b:
         raise LoopEdge(f"edge {edge_index} is a loop at {a}")
     child = max((a, b), key=tree.position.__getitem__)  # a parent precedes its child in preorder
-    return tree.cut(child)[0], frozenset(G.vertices) - tree.subtree(child)
+    pair, below = tree.cut(child)
+    return pair, tree.subtree(child) if below else frozenset(G.vertices) - tree.subtree(child)
 
 
 def two_vertex_graph(g: int, n: int, pair: BoundaryPair) -> MarkedGraph:
@@ -487,7 +490,7 @@ def elementary_subgraphs(G: MarkedGraph) -> list[frozenset[str]]:
     """Elementary subgraphs of G, using the two-sides-of-an-edge fast path at rank 0."""
     if loop_free_circuit_rank(G) != 0:
         return elementary_subgraphs_bruteforce(G)
-    tree = rooted_tree(G, G.vertices[0])
+    tree = rooted_tree(G)
     all_verts = frozenset(G.vertices)
     sides = [tree.subtree(v) for v in tree.order[1:]]
     return sorted(sides + [all_verts - side for side in sides], key=_subset_key)
@@ -555,7 +558,7 @@ def enumerate_tree_type_graphs(g: int, n: int, max_vertices: int) -> list[Marked
     """
     check_gn(g, n)
     if type(max_vertices) is not int or max_vertices < 1:
-        raise InvalidGN(f"max_vertices must be a positive integer, got {max_vertices!r}")
+        raise InvalidGN(f"max_vertices must be a positive integer, got {repr_text(max_vertices)}")
 
     out: list[MarkedGraph] = []
     for k in range(1, max_vertices + 1):

@@ -23,6 +23,7 @@ from .errors import (
     GraphMismatch,
     InvalidGraph,
     MalformedInput,
+    repr_text,
     sum_text,
 )
 from .graphs import (
@@ -52,11 +53,11 @@ class TorsionFreeDegree:
             raise GraphMismatch("degrees must be defined on exactly the vertices of the graph")
         for v, d in values.items():
             if type(d) is not int:
-                raise DegreeSumMismatch(f"degrees must be integers, got {d!r} at {v}")
+                raise DegreeSumMismatch(f"degrees must be integers, got {repr_text(d)} at {v}")
         fail = frozenset(_as_iterable(failures, "failures", InvalidGraph))
         for i in fail:
             if type(i) is not int or not 0 <= i < len(graph.edges):
-                raise InvalidGraph(f"failure index {i!r} out of range for {len(graph.edges)} edges")
+                raise InvalidGraph(f"failure index {repr_text(i)} out of range for {len(graph.edges)} edges")
         target = genus(graph) - 1
         if sum(values.values()) + len(fail) != target:
             raise DegreeSumMismatch(
@@ -144,7 +145,7 @@ def is_semistable(pG: GraphParameter, F: TorsionFreeDegree, strict: bool = False
     test_elementary_equals_all_modes_on_positive_rank, at rank > 0.
     """
     if not isinstance(F, TorsionFreeDegree):
-        raise GraphMismatch(f"F must be a TorsionFreeDegree, got {F!r}")
+        raise GraphMismatch(f"F must be a TorsionFreeDegree, got {repr_text(F)}")
     if F.graph != pG.graph:
         raise GraphMismatch("sheaf and parameter live on different graphs")
     if mode == "elementary":
@@ -154,7 +155,7 @@ def is_semistable(pG: GraphParameter, F: TorsionFreeDegree, strict: bool = False
     elif mode == "all":
         subsets = _proper_subsets(pG.graph)
     else:
-        raise MalformedInput(f"mode must be 'elementary' or 'all', got {mode!r}")
+        raise MalformedInput(f"mode must be 'elementary' or 'all', got {repr_text(mode)}")
     return all(stability_inequality(pG, F, subset, strict) for subset in subsets)
 
 

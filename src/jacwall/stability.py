@@ -52,7 +52,7 @@ def _as_fraction(value) -> Fraction:
     if type(value) is Fraction:
         return value
     if type(value) is not int:
-        raise InvalidParameter(f"expected an int or a Fraction, got {value!r}")
+        raise InvalidParameter(f"expected an int or a Fraction, got {repr_text(value)}")
     return Fraction(value)
 
 
@@ -173,7 +173,7 @@ class GraphParameter:
     @cached_property
     def _tree_sums(self) -> tuple[RootedTree, dict[str, Fraction]]:
         """The rank-0 walk from the graph's first vertex and the values summed over each subtree."""
-        tree = rooted_tree(self.graph, self.graph.vertices[0])
+        tree = rooted_tree(self.graph)
         return tree, tree.totals(self.values)
 
     def __eq__(self, other) -> bool:
@@ -278,13 +278,13 @@ def phi_from_slope(
     """
     A, M = _as_mapping(A, "polarization A"), dict(_as_mapping({} if M is None else M, "twist M"))
     if not M.keys() <= G.genus_of.keys():
-        raise GraphMismatch(f"twist M must be given on vertices of the graph only, got {M!r}")
+        raise GraphMismatch(f"twist M must be given on vertices of the graph only, got {repr_text(M)}")
     for v in G.vertices:
         a, m = A.get(v), M.get(v, 0)
         if type(a) is not int or a <= 0:
-            raise NonAmple(f"polarization must be a positive integer on every vertex, got {a!r} at {v}")
+            raise NonAmple(f"polarization must be a positive integer on every vertex, got {repr_text(a)} at {v}")
         if type(m) is not int:
-            raise InvalidParameter(f"twist M must be an integer on every vertex, got {m!r} at {v}")
+            raise InvalidParameter(f"twist M must be an integer on every vertex, got {repr_text(m)} at {v}")
     deg_a = sum(A[v] for v in G.vertices)
     deg_m = sum(M.get(v, 0) for v in G.vertices)
     values = {
@@ -322,18 +322,15 @@ def random_degrees(rng: random.Random, g: int, n: int) -> tuple[int, ...]:
 # -- extension to graphs ---------------------------------------------------------
 
 
-def extend_to_graph(
-    phi: StabilityParameter, G: MarkedGraph, root: str | None = None
-) -> GraphParameter:
+def extend_to_graph(phi: StabilityParameter, G: MarkedGraph) -> GraphParameter:
     """The unique vertex assignment on a rank-0 graph compatible with all contractions.
 
-    Rooting the spanning tree anywhere, the sum over each descendant subtree
-    is prescribed by the coordinate of the boundary pair its parent edge cuts
-    out; vertex values are recovered as subtree-sum differences.  The result
-    does not depend on the chosen root, but the wall `stable_multidegree`
-    names does, so only a walk from the first vertex is kept for it to reuse.
+    On the spanning tree walked from the first vertex, the sum over each
+    descendant subtree is prescribed by the coordinate of the boundary pair
+    its parent edge cuts out; vertex values are recovered as subtree-sum
+    differences.  The result keeps the walk and sums, which the multidegree routines read.
     """
-    tree = rooted_tree(G, G.vertices[0] if root is None else root)
+    tree = rooted_tree(G)
     if genus(G) != phi.g or G.n != phi.n:
         raise GraphMismatch(f"graph has (g,n)=({genus(G)},{G.n}) but parameter has ({phi.g},{phi.n})")
     sums = {tree.order[0]: Fraction(phi.g - 1)}
@@ -341,8 +338,7 @@ def extend_to_graph(
         pair, below = tree.cut(v)
         sums[v] = phi.phi_plus(pair) if below else phi.phi_minus(pair)
     pG = GraphParameter(G, tree.differences(sums))
-    if tree.order[0] == G.vertices[0]:
-        pG._tree_sums = tree, sums
+    pG._tree_sums = tree, sums
     return pG
 
 
@@ -404,7 +400,7 @@ def _check_twist(g: int, n: int, twist: Mapping[BoundaryPair, int]) -> list[int]
         if pair not in index:
             raise InadmissiblePair(f"twist supported on inadmissible pair {pair}")
         if type(t) is not int:
-            raise InvalidParameter(f"twist coefficients must be integers, got {t!r}")
+            raise InvalidParameter(f"twist coefficients must be integers, got {repr_text(t)}")
         out[index[pair]] = t
     return out
 

@@ -56,6 +56,8 @@ from testutil import (
     random_edge_subsets,
     random_parameter,
     random_sheaf,
+    reference_pair,
+    reference_side,
 )
 
 F = Fraction
@@ -269,8 +271,9 @@ def test_c7_compatibility_of_extension(corpus4):
                 pH = extend_to_graph(phi, H)
                 assert check_compatibility(pG, subset, pH)
                 cases += 1
-            for root in G.vertices:
-                assert extend_to_graph(phi, G, root=root) == pG
+            for i in G.nonloop_indices:
+                side = reference_side(G, i)
+                assert pG.subset_sum(side) == phi.phi_plus(reference_pair(G, side))
     tally("7 compatibility of extension", cases)
 
 

@@ -271,6 +271,28 @@ def test_boundary_pair_errors(path111):
         boundary_pair_of_edge(cycle, 0)
 
 
+@pytest.mark.parametrize("index", ["0", None, True, 1.0, -1, 2, 10**5000], ids=["str", "none", "bool", "float", "-1", "2", "long"])
+def test_edge_indices_must_be_ints_in_range(path111, index):
+    # contract raised TypeError on "0", None and 1.0 and contracted edge 1 for True; boundary_pair_of_edge
+    # raised IndexError on 2 and read the last edge for -1; both wrote an over-long index with str()
+    message = r"^edge index .+ out of range for 2 edges$"
+    with pytest.raises(InvalidGraph, match=message):
+        contract(path111, [index])
+    with pytest.raises(InvalidGraph, match=message):
+        boundary_pair_of_edge(path111, index)
+
+
+def test_boundary_pair_checks_rank_then_index_then_loop():
+    cycle = MarkedGraph({"a": 1, "b": 1}, [("a", "b"), ("a", "b")], {1: "a", 2: "b"})
+    with pytest.raises(NotTreeLike):
+        boundary_pair_of_edge(cycle, 5)
+    loopy = MarkedGraph({"a": 1, "b": 1}, [("a", "a"), ("a", "b")], {1: "a", 2: "b"})
+    with pytest.raises(InvalidGraph, match="^edge index 5 out of range for 2 edges$"):
+        boundary_pair_of_edge(loopy, 5)
+    with pytest.raises(LoopEdge):
+        boundary_pair_of_edge(loopy, 0)
+
+
 def test_boundary_pair_complement_agreement(corpus3):
     # Computing the pair from the other side and normalizing gives the same pair.
     for (g, n), graphs in corpus3.items():

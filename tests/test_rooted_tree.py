@@ -12,7 +12,6 @@ import jacwall.multidegrees
 import jacwall.stability
 from jacwall import (
     DegenerateParameter,
-    GraphMismatch,
     GraphParameter,
     MarkedGraph,
     NotTreeLike,
@@ -52,18 +51,27 @@ def _graph(shape, k):
 def test_preorder_slices_are_the_subtrees(shape, k):
     G = _graph(shape, k)
     pairs, index = admissible_pairs(genus(G), G.n), pair_index(genus(G), G.n)
-    for root in (G.vertices[0], G.marking_of[1], G.vertices[-1]):
-        tree = rooted_tree(G, root)
-        assert tree.order[0] == root and sorted(tree.order) == list(G.vertices)
-        all_verts = frozenset(G.vertices)
-        for v in tree.order[1:]:
-            edge_index, p = tree.parent[v]
-            assert v in G.edges[edge_index] and p in G.edges[edge_index]
-            side = reference_side(G, edge_index)
-            below = tree.subtree(v)
-            assert below == (side if v in side else all_verts - side)
-            assert tree.cut(v) == (reference_pair(G, side), v in side)
-            assert tree.cut(v)[0] is pairs[index[reference_pair(G, side)]]
+    tree = rooted_tree(G)
+    assert tree.order[0] == G.vertices[0] and sorted(tree.order) == list(G.vertices)
+    all_verts = frozenset(G.vertices)
+    for v in tree.order[1:]:
+        edge_index, p = tree.parent[v]
+        assert v in G.edges[edge_index] and p in G.edges[edge_index]
+        side = reference_side(G, edge_index)
+        below = tree.subtree(v)
+        assert below == (side if v in side else all_verts - side)
+        assert tree.cut(v) == (reference_pair(G, side), v in side)
+        assert tree.cut(v)[0] is pairs[index[reference_pair(G, side)]]
+
+
+@pytest.mark.parametrize("shape", TREE_SHAPES)
+def test_the_ladder_cuts_marking_one_off_on_both_sides(shape):
+    # with one root, the walk still meets edges whose marking-1 side is the subtree below and the rest
+    belows = set()
+    for k in SIZES:
+        tree = rooted_tree(_graph(shape, k))
+        belows.update(tree.cut(v)[1] for v in tree.order[1:])
+    assert belows == {False, True}
 
 
 @pytest.mark.parametrize("k", SIZES)
@@ -91,10 +99,7 @@ def test_elementary_subgraphs_are_the_edge_sides(shape, k):
 def test_extend_to_graph_from_three_roots(shape, k):
     G = _graph(shape, k)
     phi = random_parameter(random.Random(f"phi:{shape}:{k}"), genus(G), G.n)
-    roots = (G.vertices[0], G.marking_of[1], G.vertices[-1])
-    extensions = [extend_to_graph(phi, G, root=root) for root in roots]
-    assert extensions[1] == extensions[0] and extensions[2] == extensions[0]
-    pG = extensions[0]
+    pG = extend_to_graph(phi, G)
     for i in G.nonloop_indices:
         side = reference_side(G, i)
         assert pG.subset_sum(side) == phi.phi_plus(reference_pair(G, side))
@@ -122,7 +127,7 @@ def _on_a_wall(rng, G, md, sign):
     subtree's parent edge and one degree taken off at the parent's end for
     sign +1/2, or at the child's end for -1/2; the other end makes it unstable.
     """
-    tree = rooted_tree(G, G.vertices[0])
+    tree = rooted_tree(G)
     w = rng.choice(tree.order[1:])
     sums = {
         v: partial_degree(md, tree.subtree(v)) + (sign if v == w else Fraction(rng.randint(-4, 4), 10))
@@ -170,11 +175,9 @@ def test_is_semistable_on_one_vertex():
 def test_rooted_tree_errors():
     cycle = MarkedGraph({"a": 1, "b": 1}, [("a", "b"), ("a", "b")], {1: "a", 2: "b"})
     with pytest.raises(NotTreeLike):
-        rooted_tree(cycle, "a")
+        rooted_tree(cycle)
     single = MarkedGraph({"a": 1}, [("a", "a")], {1: "a"})
-    assert rooted_tree(single, "a").order == ("a",)
-    with pytest.raises(GraphMismatch):
-        rooted_tree(single, "nope")
+    assert rooted_tree(single).order == ("a",)
 
 
 @pytest.mark.parametrize("k", SIZES)
@@ -182,21 +185,20 @@ def test_rooted_tree_errors():
 def test_differences_and_totals_are_inverse(shape, k):
     G = _graph(shape, k)
     rng = random.Random(f"sums:{shape}:{k}")
-    for root in (G.vertices[0], G.marking_of[1], G.vertices[-1]):
-        tree = rooted_tree(G, root)
-        for draw in (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 10))):
-            x = {v: draw() for v in G.vertices}
-            assert tree.differences(tree.totals(x)) == x
-            assert tree.totals(tree.differences(x)) == x
+    tree = rooted_tree(G)
+    for draw in (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 10))):
+        x = {v: draw() for v in G.vertices}
+        assert tree.differences(tree.totals(x)) == x
+        assert tree.totals(tree.differences(x)) == x
 
 
 def _count_walks(monkeypatch) -> list:
-    """The roots of every `rooted_tree` walk made from now on, through any module that calls it."""
+    """The graph of every `rooted_tree` walk made from now on, through any module that calls it."""
     walks = []
 
-    def counting(G, root):
-        walks.append(root)
-        return rooted_tree(G, root)
+    def counting(G):
+        walks.append(G)
+        return rooted_tree(G)
 
     for module in (jacwall.graphs, jacwall.stability, jacwall.multidegrees):
         if hasattr(module, "rooted_tree"):
@@ -212,17 +214,12 @@ def test_one_walk_serves_extension_multidegree_and_semistability(shape, monkeypa
     walks = _count_walks(monkeypatch)
     pG = extend_to_graph(phi, G)
     assert is_semistable(pG, stable_multidegree(pG), strict=True)
-    assert walks == [G.vertices[0]]
-    # from another root the extension keeps no walk: the wall stable_multidegree names depends on the root
-    walks.clear()
-    pG = extend_to_graph(phi, G, root=G.vertices[-1])
-    assert is_semistable(pG, stable_multidegree(pG), strict=True)
-    assert walks == [G.vertices[-1], G.vertices[0]]
+    assert walks == [G]
 
 
 def _on_walls(rng, G, phi, count):
     """phi with the coordinates that `count` random tree edges cut moved onto walls d + 1/2."""
-    tree = rooted_tree(G, G.vertices[0])
+    tree = rooted_tree(G)
     coords = dict(phi.coords)
     for v in rng.sample(tree.order[1:], min(count, len(tree.order) - 1)):
         coords[tree.cut(v)[0]] = Fraction(2 * rng.randint(-3, 3) + 1, 2)
@@ -240,14 +237,12 @@ def _outcome(pG, sheaves):
 
 
 def _assert_kept_walk_changes_nothing(rng, G, sheaves):
-    """A filled parameter, one extended from another root and an unfilled copy give the same answers."""
+    """A parameter filled with the walk of its extension and an unfilled copy give the same answers."""
     g = genus(G)
     phi = random_parameter(rng, g, G.n)
     for phi in (phi, _on_walls(rng, G, phi, 1), _on_walls(rng, G, phi, 3), canonical_parameter(g, G.n)):
         pG = extend_to_graph(phi, G)
-        variants = (pG, extend_to_graph(phi, G, root=G.vertices[-1]), GraphParameter(G, dict(pG.values)))
-        outcomes = [_outcome(p, sheaves) for p in variants]
-        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        assert _outcome(GraphParameter(G, dict(pG.values)), sheaves) == _outcome(pG, sheaves)
 
 
 @pytest.mark.parametrize("k", SIZES)

@@ -68,3 +68,10 @@ def test_only_graphs_and_stability_walk_rooted_trees():
     # a graph parameter keeps the one walk from its first vertex; multidegrees reads it from there
     found = _lines_where(lambda line: "rooted_tree(" in line)
     assert [where for where in found if where.split(":")[0] not in ("graphs.py", "stability.py")] == []
+
+
+def test_library_messages_write_values_through_repr_text():
+    # !r in a message raised ValueError for a value holding an int over Python's digit limit
+    modules = ("graphs.py", "stability.py", "multidegrees.py", "divisor_classes.py")
+    found = _lines_where(lambda line: "!r}" in line)
+    assert [where for where in found if where.split(":")[0] in modules] == []

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacwall import (
+    BasisMismatch,
     BoundaryPair,
     DegenerateParameter,
     DegreeSumMismatch,
@@ -17,8 +18,10 @@ from jacwall import (
     GraphMismatch,
     GraphParameter,
     InadmissiblePair,
+    InvalidGN,
     InvalidGraph,
     InvalidParameter,
+    MalformedInput,
     MarkedGraph,
     NonAmple,
     NotTreeLike,
@@ -35,6 +38,7 @@ from jacwall import (
     dualizing_degree,
     ell,
     elementary_subgraphs,
+    enumerate_tree_type_graphs,
     extend_to_graph,
     first_wall,
     genus,
@@ -52,7 +56,7 @@ from jacwall import (
     twist_parameter,
     two_vertex_graph,
 )
-from testutil import GN_SET, random_degrees, random_parameter
+from testutil import GN_SET, random_degrees, random_parameter, reference_pair, reference_side
 
 F = Fraction
 
@@ -407,6 +411,100 @@ def test_rejected_value_past_the_digit_limit_is_named_by_the_limit(build, error,
         build(pG)
 
 
+LONG = 10**5000  # more digits than repr() writes
+
+
+def _two_vertex_route(call):
+    """A route calling call(G, pG, F) on the two-vertex graph of (1, {1}) at (2, 2), a parameter and a sheaf there."""
+
+    def build():
+        G = two_vertex_graph(2, 2, pair(1, 1))
+        pG = extend_to_graph(phi_from_degrees(2, 2, [1, 0]), G)
+        return call(G, pG, TorsionFreeDegree(G, {"v1": 1, "v2": 0}))
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            _two_vertex_route(lambda G, pG, F: TorsionFreeDegree(G, {"v1": HUGE_THIRD, "v2": 0})),
+            DegreeSumMismatch,
+            "degrees must be integers, got ",
+        ),
+        (lambda: StabilityParameter(2, 2, LONG), InvalidParameter, "coordinates must be a mapping, got "),
+        (
+            lambda: StabilityParameter(2, 2, {p: (LONG,) for p in admissible_pairs(2, 2)}),
+            InvalidParameter,
+            "expected an int or a Fraction, got ",
+        ),
+        (lambda: DivisorClass(2, 2, psi={1: (LONG,)}), InvalidParameter, "expected an int or a Fraction, got "),
+        (lambda: DivisorClass(2, 2).psi_coeff(LONG), BasisMismatch, "psi index must lie in 1..2, got "),
+        (lambda: admissible_pairs(HUGE_THIRD, 2), InvalidGN, "g and n must be integers, got g="),
+        (
+            lambda: normalize_pair(2, 2, HUGE_THIRD, [1]),
+            InadmissiblePair,
+            "side genus must be a nonnegative integer, got i=",
+        ),
+        (lambda: BoundaryPair(HUGE_THIRD, {1}), InadmissiblePair, "side genus must be a nonnegative integer, got i="),
+        (
+            lambda: MarkedGraph({"a": HUGE_THIRD}, [], {1: "a"}),
+            InvalidGraph,
+            "genus of a must be a nonnegative integer, got ",
+        ),
+        (lambda: MarkedGraph({LONG: 1}, [], {1: LONG}), InvalidGraph, "vertex ids must be nonempty strings, got "),
+        (
+            _two_vertex_route(lambda G, pG, F: phi_from_slope(G, {"v1": HUGE_THIRD, "v2": 1})),
+            NonAmple,
+            "polarization must be a positive integer on every vertex, got ",
+        ),
+        (
+            _two_vertex_route(lambda G, pG, F: phi_from_slope(G, {"v1": 1, "v2": 1}, {"v1": HUGE_THIRD})),
+            InvalidParameter,
+            "twist M must be an integer on every vertex, got ",
+        ),
+        (
+            lambda: twist_label(polytope_label(phi_from_degrees(2, 2, [1, 0])), {pair(1, 1): HUGE_THIRD}),
+            InvalidParameter,
+            "twist coefficients must be integers, got ",
+        ),
+        (
+            lambda: enumerate_tree_type_graphs(1, 1, HUGE_THIRD),
+            InvalidGN,
+            "max_vertices must be a positive integer, got ",
+        ),
+        (
+            _two_vertex_route(lambda G, pG, F: is_semistable(pG, F, mode=LONG)),
+            MalformedInput,
+            "mode must be 'elementary' or 'all', got ",
+        ),
+    ],
+    ids=[
+        "sheaf-degree",
+        "parameter-not-a-mapping",
+        "parameter-coordinate",
+        "class-psi-coefficient",
+        "class-psi-index",
+        "admissible-pairs-g",
+        "normalize-pair-i",
+        "boundary-pair-i",
+        "graph-genus",
+        "graph-vertex-id",
+        "slope-polarization",
+        "slope-twist",
+        "twist-coefficient",
+        "corpus-max-vertices",
+        "semistability-mode",
+    ],
+)
+def test_every_library_message_names_a_value_past_the_digit_limit(build, error, message):
+    # these messages wrote the rejected value with !r, which raised ValueError past the digit limit
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(error, match=f"^{re.escape(message)}a value over Python's {limit}-digit limit"):
+        build()
+
+
 @pytest.mark.parametrize("d", [0.5, "x", True, None, Fraction(1)], ids=["float", "str", "bool", "none", "fraction"])
 def test_ell_takes_an_integer_d(d):
     # a float d returned a float, a string raised TypeError, and True was read as 1
@@ -458,14 +556,12 @@ def test_extend_single_vertex():
     assert dict(extend_to_graph(phi, G).values) == {"v": F(1)}
 
 
-def test_extend_errors(path111, phi32_path):
+def test_extend_errors(path111):
     cycle = MarkedGraph({"a": 1, "b": 1}, [("a", "b"), ("a", "b")], {1: "a", 2: "b"})
     with pytest.raises(NotTreeLike):
         extend_to_graph(phi_from_degrees(3, 2, (1, 1)), cycle)
     with pytest.raises(GraphMismatch):
         extend_to_graph(phi_from_degrees(2, 2, (1, 0)), path111)
-    with pytest.raises(GraphMismatch):
-        extend_to_graph(phi32_path, path111, root="nope")
 
 
 def _solve_compatibility_system(phi, G):
@@ -511,10 +607,11 @@ def test_extend_matches_linear_system_oracle(corpus3):
             assert dict(pG.values) == _solve_compatibility_system(phi, G)
 
 
-def test_extend_is_root_independent(path111, phi32_path):
-    expected = extend_to_graph(phi32_path, path111)
-    for root in path111.vertices:
-        assert extend_to_graph(phi32_path, path111, root=root) == expected
+def test_extend_gives_each_edge_side_its_coordinate(path111, phi32_path):
+    pG = extend_to_graph(phi32_path, path111)
+    for i in path111.nonloop_indices:
+        side = reference_side(path111, i)
+        assert pG.subset_sum(side) == phi32_path.phi_plus(reference_pair(path111, side))
 
 
 def test_extend_sums_to_target(corpus3):
