@@ -21,8 +21,6 @@ from .divisor_classes import (
     DivisorClass,
     basis_labels,
     binom2,
-    class_algebra,
-    class_identities,
     hain_class,
     mueller_class,
     mueller_comparison,
@@ -30,8 +28,6 @@ from .divisor_classes import (
     theta_pullback,
     twist_divisor_coeffs,
     wall_crossing,
-    wall_crossing_single,
-    zero_class,
 )
 from .errors import (
     BasisMismatch,
@@ -74,7 +70,6 @@ from .multidegrees import (
     partial_degree,
     stability_inequality,
     stable_multidegree,
-    symmetric_inequality,
 )
 from .stability import (
     GraphParameter,
@@ -87,7 +82,6 @@ from .stability import (
     ell,
     extend_to_graph,
     first_wall,
-    is_nondegenerate,
     is_theta_flat,
     is_theta_reduced,
     phi_from_degrees,

@@ -21,12 +21,11 @@ from . import jsonio
 from .divisor_classes import (
     DivisorClass,
     basis_labels,
-    class_identities,
     compare_classes,
     theta_pullback,
     wall_crossing,
 )
-from .errors import JacwallError, MalformedInput, NoNegativeDegree
+from .errors import JacwallError, MalformedInput, NoNegativeDegree, repr_text
 from .graphs import admissible_pairs, enumerate_tree_type_graphs, genus
 from .multidegrees import all_stable_multidegrees_bruteforce, is_semistable, stable_multidegree
 from .stability import (
@@ -236,7 +235,7 @@ def _cmd_check(args) -> int:
     if args.max_vertices < 1:
         raise MalformedInput(f"--max-vertices must be a positive integer, got {args.max_vertices}")
     seed_text = os.environ.get("JACWALL_SEED", "0")
-    seed = jsonio.parse_int_text(seed_text, f"JACWALL_SEED must be an integer, got {seed_text!r}")
+    seed = jsonio.parse_int_text(seed_text, f"JACWALL_SEED must be an integer, got {repr_text(seed_text)}")
     rng = random.Random(seed)
     gn_list = [(args.g, args.n)] if args.g is not None else [(1, 2), (2, 1), (2, 2)]
 
@@ -248,7 +247,7 @@ def _cmd_check(args) -> int:
 
     def identity_cases(g: int, n: int):
         for _ in range(args.trials):
-            yield all(holds for _, holds in class_identities(g, n, random_degrees(rng, g, n)))
+            yield all(holds for _, holds in compare_classes(g, n, random_degrees(rng, g, n)).identities)
 
     def multidegree_cases(g: int, n: int):
         corpus = enumerate_tree_type_graphs(g, n, args.max_vertices)

@@ -20,7 +20,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import BasisMismatch, NoNegativeDegree, repr_text
-from .graphs import BoundaryPair, _as_mapping, _checked_pair, admissible_pairs, check_gn, pair_index, side_sums
+from .graphs import BoundaryPair, _as_mapping, admissible_pairs, check_gn, pair_index, side_sums
 from .stability import StabilityParameter, _as_fraction, phi_from_degrees, polytope_label, side_degrees
 
 
@@ -155,15 +155,6 @@ class DivisorClass:
         return "DivisorClass({})".format(" + ".join(terms) if terms else "0")
 
 
-def zero_class(g: int, n: int) -> DivisorClass:
-    return DivisorClass(g, n)
-
-
-def class_algebra(a: DivisorClass, ca, b: DivisorClass, cb) -> DivisorClass:
-    """The linear combination ca*a + cb*b, coefficientwise."""
-    return a.scaled(ca) + b.scaled(cb)
-
-
 # -- the five class formulas ---------------------------------------------------
 
 
@@ -187,12 +178,6 @@ def theta_pullback(phi: StabilityParameter, degrees: Sequence[int]) -> DivisorCl
         for pair, d, d_s in zip(label.pairs, label.values, d_side)
     )
     return _theta_form(phi.g, phi.n, degrees, delta)
-
-
-def wall_crossing_single(g: int, n: int, pair: BoundaryPair, d: int) -> DivisorClass:
-    """Change of the theta class when crossing one wall, from label d-1 to label d: (d-i) delta_(i,S)."""
-    _checked_pair(g, n, pair)
-    return DivisorClass(g, n, delta={pair: d - pair.i})
 
 
 def wall_crossing(phi1: StabilityParameter, phi2: StabilityParameter) -> DivisorClass:
@@ -318,8 +303,3 @@ def compare_classes(g: int, n: int, degrees: Sequence[int]) -> ClassComparison:
         t_set, diff = mueller_comparison(g, n, degrees)
         identities.append(("mueller + diff = stable-pairs", mueller + diff == pairs_class))
     return ClassComparison(classes, t_set, diff, identities)
-
-
-def class_identities(g: int, n: int, degrees: Sequence[int]) -> list[tuple[str, bool]]:
-    """The ordered (name, holds) identities among the comparison classes of a degree vector."""
-    return compare_classes(g, n, degrees).identities

@@ -207,10 +207,6 @@ class MarkedGraph:
             counts[v] += 1
         return MappingProxyType(counts)
 
-    def is_loop(self, edge_index: int) -> bool:
-        a, b = self.edges[edge_index]
-        return a == b
-
     # -- validation ---------------------------------------------------------
 
     def _check_connected(self) -> None:

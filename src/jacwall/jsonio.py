@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .divisor_classes import DivisorClass
-from .errors import JacwallError, MalformedInput
+from .errors import JacwallError, MalformedInput, repr_text
 from .graphs import BoundaryPair, MarkedGraph, normalize_pair
 from .multidegrees import TorsionFreeDegree
 from .stability import PolytopeLabel, StabilityParameter
@@ -31,7 +31,7 @@ def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise MalformedInput(f"JSON object key {key!r} is given twice")
+            raise MalformedInput(f"JSON object key {repr_text(key)} is given twice")
         obj[key] = value
     return obj
 
@@ -54,7 +54,7 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str) and (match := _RATIONAL_RE.match(value.strip())):
         with contextlib.suppress(ValueError):  # int() refuses numbers over its digit limit
             return Fraction(int(match[1]), int(match[2] or 1))
-    raise MalformedInput(f"expected an integer or 'p/q' string, got {value!r}")
+    raise MalformedInput(f"expected an integer or 'p/q' string, got {repr_text(value)}")
 
 
 def _too_long() -> MalformedInput:
@@ -93,13 +93,13 @@ def parse_int_text(text, message: str) -> int:
 
 def parse_int_list(text: str) -> list[int]:
     """Read a comma-separated integer list such as '3,-2'."""
-    message = f"expected a comma-separated integer list, got {text!r}"
+    message = f"expected a comma-separated integer list, got {repr_text(text)}"
     return [parse_int_text(part, message) for part in text.split(",")]
 
 
 def parse_int(value) -> int:
     if type(value) is not int:
-        raise MalformedInput(f"expected an integer, got {value!r}")
+        raise MalformedInput(f"expected an integer, got {repr_text(value)}")
     return value
 
 
@@ -121,7 +121,7 @@ def _vertex_pairs(entries, owner: str, noun: str) -> list[tuple[str, str]]:
     for entry in _expect_list(entries, f"{owner}.{noun}s"):
         entry = _expect_list(entry, noun)
         if len(entry) != 2 or not all(isinstance(v, str) for v in entry):
-            raise MalformedInput(f"{noun}s must be pairs of vertex ids, got {entry!r}")
+            raise MalformedInput(f"{noun}s must be pairs of vertex ids, got {repr_text(entry)}")
         pairs.append((entry[0], entry[1]))
     return pairs
 
@@ -146,14 +146,14 @@ def graph_from_json(obj) -> MarkedGraph:
         entry = _expect_object(entry, "vertex")
         vid = entry.get("id")
         if not isinstance(vid, str):
-            raise MalformedInput(f"vertex id must be a string, got {vid!r}")
+            raise MalformedInput(f"vertex id must be a string, got {repr_text(vid)}")
         if vid in genera:
-            raise MalformedInput(f"vertex id {vid!r} is given twice")
+            raise MalformedInput(f"vertex id {repr_text(vid)} is given twice")
         genera[vid] = parse_int(entry.get("genus"))
     edges = _vertex_pairs(obj.get("edges", []), "graph", "edge")
     markings = {}
     for key, vid in _expect_object(obj.get("markings"), "graph.markings").items():
-        j = parse_int_text(key, f"marking keys must be integers, got {key!r}")
+        j = parse_int_text(key, f"marking keys must be integers, got {repr_text(key)}")
         if j in markings:
             raise MalformedInput(f"marking {j} is given twice")
         markings[j] = vid
@@ -278,7 +278,7 @@ def class_from_json(obj) -> DivisorClass:
     g, n = _gn_from_json(obj)
     psi = {}
     for key, c in _expect_object(obj.get("psi", {}), "class.psi").items():
-        j = parse_int_text(key, f"psi keys must be integers, got {key!r}")
+        j = parse_int_text(key, f"psi keys must be integers, got {repr_text(key)}")
         if j in psi:
             raise MalformedInput(f"psi_{j} is given twice")
         psi[j] = parse_rational(c)

@@ -30,6 +30,7 @@ from .graphs import (
     MarkedGraph,
     _as_iterable,
     _as_mapping,
+    _checked_edge_index,
     _proper_subsets,
     crossing_edge_indices,
     elementary_subgraphs,
@@ -54,10 +55,7 @@ class TorsionFreeDegree:
         for v, d in values.items():
             if type(d) is not int:
                 raise DegreeSumMismatch(f"degrees must be integers, got {repr_text(d)} at {v}")
-        fail = frozenset(_as_iterable(failures, "failures", InvalidGraph))
-        for i in fail:
-            if type(i) is not int or not 0 <= i < len(graph.edges):
-                raise InvalidGraph(f"failure index {repr_text(i)} out of range for {len(graph.edges)} edges")
+        fail = frozenset(_checked_edge_index(graph, i) for i in _as_iterable(failures, "failures", InvalidGraph))
         target = genus(graph) - 1
         if sum(values.values()) + len(fail) != target:
             raise DegreeSumMismatch(
@@ -97,7 +95,7 @@ def partial_degree(F: TorsionFreeDegree, subset: Iterable[str]) -> int:
     Sums the normalization degrees over the subset and counts the failure
     edges internal to it (a failure loop is internal to its vertex).
     """
-    V0 = frozenset(subset)
+    V0 = frozenset(_as_iterable(subset, "subset", GraphMismatch))
     if not V0:
         raise EmptySubset("partial degrees need a nonempty vertex subset")
     G = F.graph
@@ -109,30 +107,11 @@ def partial_degree(F: TorsionFreeDegree, subset: Iterable[str]) -> int:
     return sum(F.norm_deg[v] for v in V0) + internal
 
 
-def failure_crossings(F: TorsionFreeDegree, subset: frozenset[str]) -> int:
-    """Number of failure nodes joining the subset to its complement."""
-    G = F.graph
-    return sum(1 for i in F.failures if (G.edges[i][0] in subset) != (G.edges[i][1] in subset))
-
-
 def stability_inequality(pG: GraphParameter, F: TorsionFreeDegree, subset: frozenset[str], strict: bool) -> bool:
     """The lower-bound form on one subgraph: deg_{V0}(F) >= phi(V0) - (#crossing)/2."""
     bound = pG.subset_sum(subset) - Fraction(len(crossing_edge_indices(pG.graph, subset)), 2)
     lhs = partial_degree(F, subset)
     return lhs > bound if strict else lhs >= bound
-
-
-def symmetric_inequality(pG: GraphParameter, F: TorsionFreeDegree, subset: frozenset[str], strict: bool) -> bool:
-    """The two-sided form on one subgraph, equivalent to the lower bound on both sides.
-
-    |deg_{V0}(F) - phi(V0) + delta/2| <= (#crossing - delta)/2, where delta
-    counts failure nodes crossing the subset.
-    """
-    delta = failure_crossings(F, subset)
-    crossing = len(crossing_edge_indices(pG.graph, subset))
-    lhs = abs(partial_degree(F, subset) - pG.subset_sum(subset) + Fraction(delta, 2))
-    rhs = Fraction(crossing - delta, 2)
-    return lhs < rhs if strict else lhs <= rhs
 
 
 def is_semistable(pG: GraphParameter, F: TorsionFreeDegree, strict: bool = False, mode: str = "elementary") -> bool:

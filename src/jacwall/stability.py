@@ -206,11 +206,6 @@ def first_wall(phi: StabilityParameter):
     return None
 
 
-def is_nondegenerate(phi: StabilityParameter) -> bool:
-    """True when no coordinate is a half-odd integer, i.e. the parameter is off every wall."""
-    return first_wall(phi) is None
-
-
 def polytope_label(phi: StabilityParameter) -> PolytopeLabel:
     """The polytope containing phi: d(i, S) is the integer nearest to phi+(i, S)."""
     wall = first_wall(phi)
@@ -396,7 +391,7 @@ def _check_twist(g: int, n: int, twist: Mapping[BoundaryPair, int]) -> list[int]
     """The twist as a dense coefficient list in `admissible_pairs(g, n)` order."""
     index = pair_index(g, n)
     out = [0] * len(admissible_pairs(g, n))
-    for pair, t in twist.items():
+    for pair, t in _as_mapping(twist, "twist").items():
         if pair not in index:
             raise InadmissiblePair(f"twist supported on inadmissible pair {pair}")
         if type(t) is not int:

@@ -41,13 +41,10 @@ from jacwall import (
     stability_inequality,
     stable_multidegree,
     stable_pairs_class,
-    symmetric_inequality,
     theta_pullback,
     twist_label,
     two_vertex_graph,
     wall_crossing,
-    wall_crossing_single,
-    zero_class,
 )
 from testutil import (
     GN_SET,
@@ -58,6 +55,8 @@ from testutil import (
     random_sheaf,
     reference_pair,
     reference_side,
+    symmetric_inequality,
+    wall_crossing_single,
 )
 
 F = Fraction
@@ -71,7 +70,7 @@ def tally(name, cases, budget=None, elapsed=None):
 def stepped_crossing(phi1, phi2):
     """The composition of unit wall crossings from phi1 to phi2, one step at a time."""
     g, n = phi1.g, phi1.n
-    stepped = zero_class(g, n)
+    stepped = DivisorClass(g, n)
     lab1, lab2 = polytope_label(phi1), polytope_label(phi2)
     for pair in lab1.pairs:
         d1, d2 = lab1.d(pair), lab2.d(pair)

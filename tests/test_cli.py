@@ -7,6 +7,7 @@ import pytest
 import jacwall.cli as cli
 from jacwall import errors
 from jacwall.cli import main
+from jacwall.divisor_classes import ClassComparison
 
 PATH_GRAPH = {
     "vertices": [{"id": "v1", "genus": 1}, {"id": "v2", "genus": 1}, {"id": "v3", "genus": 1}],
@@ -577,7 +578,7 @@ def test_check_with_zero_trials_runs_the_corpus_sweep(capsys, monkeypatch):
     "name, fake, failing",
     [
         ("wall_crossing", lambda phi1, phi2: None, 0),
-        ("class_identities", lambda g, n, degrees: [("forced", False)], 1),
+        ("compare_classes", lambda g, n, degrees: ClassComparison({}, None, None, [("forced", False)]), 1),
         ("stable_multidegree", lambda pG: None, 2),
     ],
 )

@@ -95,7 +95,7 @@ def test_loop_counts_twice_for_stability():
 def test_edges_sorted_and_indexable():
     G = MarkedGraph({"b": 1, "a": 1}, [("b", "a"), ("a", "a")], {1: "a", 2: "b"})
     assert G.edges == (("a", "a"), ("a", "b"))
-    assert G.is_loop(0) and not G.is_loop(1)
+    assert G.edges[0][0] == G.edges[0][1] and G.edges[1][0] != G.edges[1][1]
 
 
 # -- genus and rank ----------------------------------------------------------------
@@ -198,7 +198,7 @@ def test_contract_matches_union_find_on_positive_rank():
         G = _random_positive_rank_graph(rng, rng.randint(2, 7))
         assert loop_free_circuit_rank(G) > 0
         edge_count = len(G.edges)
-        loops = [i for i in range(edge_count) if G.is_loop(i)]
+        loops = [i for i, (a, b) in enumerate(G.edges) if a == b]
         subsets = [[], list(range(edge_count)), loops]
         subsets += [rng.sample(range(edge_count), rng.randint(1, edge_count)) for _ in range(5)]
         for subset in subsets:

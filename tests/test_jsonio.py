@@ -30,6 +30,7 @@ from jacwall.jsonio import (
     pair_from_json,
     parameter_from_json,
     parameter_to_json,
+    parse_int,
     parse_int_text,
     parse_rational,
 )
@@ -278,6 +279,32 @@ BIG = "1" + "0" * 5000  # more digits than int() reads from text by default
 )
 def test_integers_over_the_digit_limit_are_malformed(decode, message):
     # int() raises a bare ValueError past sys.get_int_max_str_digits() digits
+    with pytest.raises(MalformedInput) as info:
+        decode()
+    assert str(info.value).startswith(message)
+
+
+HUGE = 10**5000  # an int that repr() refuses to write, past Python's digit limit
+
+
+@pytest.mark.parametrize(
+    "decode, message",
+    [
+        (lambda: parse_rational((HUGE,)), "expected an integer or 'p/q' string, got a value over"),
+        (lambda: parse_int(Fraction(HUGE, 3)), "expected an integer, got a value over"),
+        (
+            lambda: graph_from_json({"vertices": [{"id": HUGE, "genus": 1}], "markings": {"1": "v1"}}),
+            "vertex id must be a string, got a value over",
+        ),
+        (
+            lambda: graph_from_json(dict(LOOPED_GRAPH, edges=[["v1", HUGE]])),
+            "edges must be pairs of vertex ids, got a value over",
+        ),
+    ],
+    ids=["rational", "int", "vertex-id", "edge"],
+)
+def test_rejected_values_past_the_digit_limit_are_malformed(decode, message):
+    # a library caller's Python value holding such an int made the message itself raise ValueError
     with pytest.raises(MalformedInput) as info:
         decode()
     assert str(info.value).startswith(message)

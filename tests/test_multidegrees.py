@@ -28,13 +28,11 @@ from jacwall import (
     polytope_label,
     stability_inequality,
     stable_multidegree,
-    symmetric_inequality,
     twist_parameter,
     two_vertex_graph,
 )
-from jacwall.multidegrees import failure_crossings
 from test_graphs import _random_positive_rank_graph
-from testutil import GN_SET, random_parameter, random_sheaf
+from testutil import GN_SET, failure_crossings, random_parameter, random_sheaf, symmetric_inequality
 
 F = Fraction
 
@@ -85,7 +83,7 @@ def test_torsion_free_validates_total(tv):
 def test_torsion_free_rejects_bool_failure_index(path111):
     # True would name edge 1 and print as failures=[True]
     assert TorsionFreeDegree(path111, {"v1": 1, "v2": 0, "v3": 0}, [1]).failures == {1}
-    with pytest.raises(InvalidGraph, match="failure index True"):
+    with pytest.raises(InvalidGraph, match="edge index True"):
         TorsionFreeDegree(path111, {"v1": 1, "v2": 0, "v3": 0}, [True])
 
 

@@ -1,9 +1,11 @@
 """Guards over the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "jacwall").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "jacwall").glob("*.py"))
 
 
 def _lines_where(predicate, skip=None) -> list[str]:
@@ -72,6 +74,36 @@ def test_only_graphs_and_stability_walk_rooted_trees():
 
 def test_library_messages_write_values_through_repr_text():
     # !r in a message raised ValueError for a value holding an int over Python's digit limit
-    modules = ("graphs.py", "stability.py", "multidegrees.py", "divisor_classes.py")
-    found = _lines_where(lambda line: "!r}" in line)
-    assert [where for where in found if where.split(":")[0] in modules] == []
+    assert _lines_where(lambda line: "!r}" in line) == []
+
+
+# The paper's constructions that tests exercise as subjects, though no library code calls them.
+PAPER_CONSTRUCTIONS = (
+    "ell",
+    "twist_label",
+    "twist_parameter",
+    "connecting_twist",
+    "phi_from_slope",
+    "two_vertex_graph",
+    "twist_divisor_coeffs",
+)
+
+
+def test_every_export_has_a_reader():
+    # a public name is read by another library module, the benchmark or the README, or is a paper construction
+    init = (ROOT / "src" / "jacwall" / "__init__.py").read_text(encoding="utf-8")
+    exports = [
+        alias.asname or alias.name
+        for node in ast.parse(init).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    outside = "\n".join(path.read_text(encoding="utf-8") for path in [*ROOT.glob("perfbench/*.py"), ROOT / "README.md"])
+    unread = []
+    for name in exports:
+        word = re.compile(rf"\b{name}\b")
+        own_line = re.compile(rf"^\s*(?:def|class) {name}\b")
+        readers = _lines_where(lambda line: bool(word.search(line)) and not own_line.match(line), skip="__init__.py")
+        if not (readers or word.search(outside) or name in PAPER_CONSTRUCTIONS):
+            unread.append(name)
+    assert exports and unread == []

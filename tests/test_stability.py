@@ -42,11 +42,11 @@ from jacwall import (
     extend_to_graph,
     first_wall,
     genus,
-    is_nondegenerate,
     is_semistable,
     is_theta_flat,
     is_theta_reduced,
     normalize_pair,
+    partial_degree,
     phi_from_degrees,
     phi_from_label,
     phi_from_slope,
@@ -91,9 +91,9 @@ def phi32_path():
 
 
 def test_nondegeneracy_examples():
-    assert not is_nondegenerate(param22(0, F(1, 2), 0))
-    assert is_nondegenerate(param22(1, 0, -2))
-    assert is_nondegenerate(param22(1, F(7, 10), 0))
+    assert first_wall(param22(0, F(1, 2), 0)) is not None
+    assert first_wall(param22(1, 0, -2)) is None
+    assert first_wall(param22(1, F(7, 10), 0)) is None
 
 
 def test_first_wall_reports_canonical_order():
@@ -232,7 +232,7 @@ def test_phi_from_degrees_examples():
     assert phi.phi_plus(p012) == 1 and phi.phi_plus(p11) == 3 and phi.phi_plus(p112) == 1
     assert phi.phi_minus(p11) == -2
     assert phi_from_degrees(1, 2, (0, 0)).phi_plus(pair(0, 1, 2)) == 0
-    assert is_nondegenerate(phi)
+    assert first_wall(phi) is None
 
 
 def test_phi_from_degrees_label_is_partial_sum():
@@ -255,7 +255,7 @@ def test_phi_from_degrees_rejects_bad_sum():
 def test_phi_from_label_round_trip():
     lab = PolytopeLabel(2, 2, dict(zip(admissible_pairs(2, 2), [0, 1, 1])))
     phi = phi_from_label(lab)
-    assert is_nondegenerate(phi)
+    assert first_wall(phi) is None
     assert polytope_label(phi) == lab
     single = PolytopeLabel(2, 1, {pair(1, 1): 1})
     assert phi_from_label(single).phi_plus(pair(1, 1)) == 1
@@ -278,9 +278,9 @@ def test_canonical_parameter_examples():
     assert can.phi_plus(p11) == F(1, 2) and can.phi_plus(p112) == F(1, 2)
     assert canonical_parameter(2, 1).phi_plus(pair(1, 1)) == F(1, 2)
     for g, n in GN_SET:
-        assert not is_nondegenerate(canonical_parameter(g, n))
+        assert first_wall(canonical_parameter(g, n)) is not None
     # no admissible pairs at (1,1): vacuously off every wall
-    assert is_nondegenerate(canonical_parameter(1, 1))
+    assert first_wall(canonical_parameter(1, 1)) is None
 
 
 # -- slope parameters -----------------------------------------------------------------
@@ -353,10 +353,14 @@ def test_container_arguments_must_be_mappings():
         (lambda G, pG: is_semistable(pG, None), GraphMismatch, "F must be a TorsionFreeDegree, got None"),
         (lambda G, pG: phi_from_degrees(2, 2, None), DegreeSumMismatch, "degrees must be iterable, got None"),
         (lambda G, pG: theta_pullback(phi_from_degrees(2, 2, [1, 0]), 5), DegreeSumMismatch, "degrees must be iterable, got 5"),
+        (lambda G, pG: twist_label(polytope_label(phi_from_degrees(2, 2, [1, 0])), [1, 2]), InvalidParameter, "twist must be a mapping, got [1, 2]"),
+        (lambda G, pG: twist_parameter(phi_from_degrees(2, 2, [1, 0]), 7), InvalidParameter, "twist must be a mapping, got 7"),
+        (lambda G, pG: partial_degree(TorsionFreeDegree(G, {"v1": 1, "v2": 0}), 5), GraphMismatch, "subset must be iterable, got 5"),
     ],
     ids=[
         "graph-genera", "graph-edges", "graph-markings", "sheaf-list", "sheaf-int", "sheaf-failures",
         "contract", "normalize-pair", "ell", "boundary-pair", "is-semistable", "phi-from-degrees", "theta-pullback",
+        "twist-label", "twist-parameter", "partial-degree",
     ],
 )
 def test_container_arguments_raise_their_own_error(build, error, message):

@@ -1,4 +1,4 @@
-"""Seeded random generators and reference walks shared by the unit and acceptance tests."""
+"""Seeded random generators, reference walks and independent oracles shared by the unit and acceptance tests."""
 
 from __future__ import annotations
 
@@ -9,13 +9,17 @@ from fractions import Fraction
 
 from jacwall import (
     BoundaryPair,
+    DivisorClass,
+    GraphParameter,
     MarkedGraph,
     StabilityParameter,
     TorsionFreeDegree,
     admissible_pairs,
+    crossing_edge_indices,
     genus,
+    partial_degree,
 )
-from jacwall.graphs import _tree_code
+from jacwall.graphs import _checked_pair, _tree_code
 from jacwall.stability import random_degrees, random_parameter  # noqa: F401  (re-exported)
 
 GN_SET = ((1, 2), (2, 1), (2, 2), (3, 2), (3, 3))
@@ -232,3 +236,31 @@ def reference_classes(phi: StabilityParameter, degrees) -> dict:
             Fraction(p.i - d_s if p in t_set else 0) for p, d_s in zip(pairs, side)
         )
     return out
+
+
+# -- the two-sided stability form and the unit wall crossing -------------------------
+
+
+def failure_crossings(F: TorsionFreeDegree, subset: frozenset[str]) -> int:
+    """Number of failure nodes joining the subset to its complement."""
+    G = F.graph
+    return sum(1 for i in F.failures if (G.edges[i][0] in subset) != (G.edges[i][1] in subset))
+
+
+def symmetric_inequality(pG: GraphParameter, F: TorsionFreeDegree, subset: frozenset[str], strict: bool) -> bool:
+    """The two-sided form on one subgraph, equivalent to the lower bound on both sides.
+
+    |deg_{V0}(F) - phi(V0) + delta/2| <= (#crossing - delta)/2, where delta
+    counts failure nodes crossing the subset.
+    """
+    delta = failure_crossings(F, subset)
+    crossing = len(crossing_edge_indices(pG.graph, subset))
+    lhs = abs(partial_degree(F, subset) - pG.subset_sum(subset) + Fraction(delta, 2))
+    rhs = Fraction(crossing - delta, 2)
+    return lhs < rhs if strict else lhs <= rhs
+
+
+def wall_crossing_single(g: int, n: int, pair: BoundaryPair, d: int) -> DivisorClass:
+    """Change of the theta class when crossing one wall, from label d-1 to label d: (d-i) delta_(i,S)."""
+    _checked_pair(g, n, pair)
+    return DivisorClass(g, n, delta={pair: d - pair.i})
