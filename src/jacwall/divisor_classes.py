@@ -101,19 +101,6 @@ class DivisorClass:
         pairs = admissible_pairs(self.g, self.n)
         return MappingProxyType({p: c for p, c in zip(pairs, self.coeffs[self.n + 2 :]) if c})
 
-    def psi_coeff(self, j: int) -> Fraction:
-        if type(j) is not int or not 1 <= j <= self.n:
-            raise BasisMismatch(f"psi index must lie in 1..{self.n}, got {repr_text(j)}")
-        return self.coeffs[j]
-
-    def delta_coeff(self, pair: BoundaryPair) -> Fraction:
-        k = pair_index(self.g, self.n).get(pair)
-        return Fraction(0) if k is None else self.coeffs[self.n + 2 + k]
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DivisorClass):
             return NotImplemented

@@ -140,3 +140,12 @@ def repr_text(value) -> str:
         return repr(value)
     except ValueError:  # an int over sys.get_int_max_str_digits(), alone or inside value
         return f"a value over Python's {sys.get_int_max_str_digits()}-digit limit for writing an integer"
+
+
+def sorted_text(values) -> str:
+    """repr_text of the values in sorted order, sorted by their repr_text when they do not compare."""
+    try:
+        ordered = sorted(values)
+    except TypeError:  # values such as 1 and "a", which do not compare
+        ordered = sorted(values, key=repr_text)
+    return repr_text(ordered)

@@ -24,6 +24,8 @@ from .errors import (
     LoopEdge,
     NotTreeLike,
     repr_text,
+    sorted_text,
+    sum_text,
 )
 
 Edge = tuple[str, str]
@@ -55,6 +57,14 @@ def _as_iterable(value, name: str, error: type[JacwallError]) -> Iterable:
     return value
 
 
+def _as_frozenset(value, name: str, error: type[JacwallError]) -> frozenset:
+    """frozenset(value) when value is iterable with hashable members; error naming the argument otherwise."""
+    try:
+        return frozenset(_as_iterable(value, name, error))
+    except TypeError:  # an unhashable member
+        raise error(f"{name} must hold hashable values, got {repr_text(value)}") from None
+
+
 @dataclass(frozen=True)
 class BoundaryPair:
     """Index (i, S) of a boundary divisor: a genus-i side carrying the markings S, with 1 in S."""
@@ -63,11 +73,11 @@ class BoundaryPair:
     S: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "S", frozenset(_as_iterable(self.S, "S", InadmissiblePair)))
+        object.__setattr__(self, "S", _as_frozenset(self.S, "S", InadmissiblePair))
         if not all(type(j) is int and j >= 1 for j in self.S):
-            raise InadmissiblePair(f"markings must be positive integers, got {sorted(self.S)}")
+            raise InadmissiblePair(f"markings must be positive integers, got {sorted_text(self.S)}")
         if 1 not in self.S:
-            raise InadmissiblePair(f"marking 1 must lie on the S side, got S={sorted(self.S)}")
+            raise InadmissiblePair(f"marking 1 must lie on the S side, got S={sorted_text(self.S)}")
         if type(self.i) is not int or self.i < 0:
             raise InadmissiblePair(f"side genus must be a nonnegative integer, got i={repr_text(self.i)}")
 
@@ -84,7 +94,7 @@ class BoundaryPair:
         return True
 
     def __str__(self) -> str:
-        return "({},{{{}}})".format(self.i, ",".join(str(j) for j in sorted(self.S)))
+        return "({},{{{}}})".format(sum_text(self.i), ",".join(sum_text(j) for j in sorted(self.S)))
 
 
 def normalize_pair(g: int, n: int, i: int, markings: Iterable[int]) -> BoundaryPair:
@@ -96,10 +106,10 @@ def normalize_pair(g: int, n: int, i: int, markings: Iterable[int]) -> BoundaryP
     check_gn(g, n)
     if type(i) is not int:  # before the complement below turns a bool into an int
         raise InadmissiblePair(f"side genus must be a nonnegative integer, got i={repr_text(i)}")
-    S = frozenset(_as_iterable(markings, "markings", InadmissiblePair))
+    S = _as_frozenset(markings, "markings", InadmissiblePair)
     all_marks = frozenset(range(1, n + 1))
     if not S <= all_marks:
-        raise InadmissiblePair(f"markings {sorted(S)} not contained in 1..{n}")
+        raise InadmissiblePair(f"markings {sorted_text(S)} not contained in 1..{n}")
     if 1 not in S:
         i, S = g - i, all_marks - S
     return _checked_pair(g, n, BoundaryPair(i, S))
@@ -160,7 +170,7 @@ class MarkedGraph:
             marking_of[j] = v
         n = len(marking_of)
         if set(marking_of) != set(range(1, n + 1)) or n < 1:
-            raise InvalidGraph(f"markings must be exactly 1..n, got {sorted(marking_of)}")
+            raise InvalidGraph(f"markings must be exactly 1..n, got {sorted_text(marking_of)}")
 
         self.genus_of: Mapping[str, int] = MappingProxyType(genus_of)
         self.edges: tuple[Edge, ...] = tuple(edge_list)

@@ -2,8 +2,8 @@
 
 Every refusal is a MalformedInput (exit code 2), never a bare Python error.
 Rationals travel as exact strings "p/q" (q > 0, reduced) or plain integers;
-floats are rejected everywhere.  A JSON object key, pair, vertex id, marking or
-psi index given twice is refused, never resolved by keeping the last value.
+floats are rejected everywhere.  A JSON object key, pair, vertex id or marking
+given twice is refused, never resolved by keeping the last value.
 Pair keys are normalized so the encoded side always contains marking 1.
 Encoders emit canonically ordered structures so serialization is byte-for-byte
 deterministic.
@@ -17,10 +17,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .divisor_classes import DivisorClass
 from .errors import JacwallError, MalformedInput, repr_text
 from .graphs import BoundaryPair, MarkedGraph, normalize_pair
-from .multidegrees import TorsionFreeDegree
 from .stability import PolytopeLabel, StabilityParameter
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$", re.ASCII)
@@ -115,17 +113,6 @@ def _expect_list(obj, what: str) -> list:
     return obj
 
 
-def _vertex_pairs(entries, owner: str, noun: str) -> list[tuple[str, str]]:
-    """Read the JSON array owner.<noun>s, each entry a pair of vertex ids."""
-    pairs = []
-    for entry in _expect_list(entries, f"{owner}.{noun}s"):
-        entry = _expect_list(entry, noun)
-        if len(entry) != 2 or not all(isinstance(v, str) for v in entry):
-            raise MalformedInput(f"{noun}s must be pairs of vertex ids, got {repr_text(entry)}")
-        pairs.append((entry[0], entry[1]))
-    return pairs
-
-
 @contextlib.contextmanager
 def _invalid(what: str):
     """Report a library error raised while building a decoded value as MalformedInput."""
@@ -150,7 +137,12 @@ def graph_from_json(obj) -> MarkedGraph:
         if vid in genera:
             raise MalformedInput(f"vertex id {repr_text(vid)} is given twice")
         genera[vid] = parse_int(entry.get("genus"))
-    edges = _vertex_pairs(obj.get("edges", []), "graph", "edge")
+    edges = []
+    for entry in _expect_list(obj.get("edges", []), "graph.edges"):
+        entry = _expect_list(entry, "edge")
+        if len(entry) != 2 or not all(isinstance(v, str) for v in entry):
+            raise MalformedInput(f"edges must be pairs of vertex ids, got {repr_text(entry)}")
+        edges.append((entry[0], entry[1]))
     markings = {}
     for key, vid in _expect_object(obj.get("markings"), "graph.markings").items():
         j = parse_int_text(key, f"marking keys must be integers, got {repr_text(key)}")
@@ -240,61 +232,11 @@ def label_to_json(label: PolytopeLabel) -> dict:
     }
 
 
-# -- multidegrees ----------------------------------------------------------------------
-
-
-def multidegree_from_json(G: MarkedGraph, obj) -> TorsionFreeDegree:
-    """Decode {"deg": {vertex: int}, "failures": [[a, b], ...]} against a known graph.
-
-    Failure entries name edges by their endpoints; repeated entries consume
-    distinct parallel edges.
-    """
-    obj = _expect_object(obj, "multidegree")
-    deg = {v: parse_int(d) for v, d in _expect_object(obj.get("deg"), "multidegree.deg").items()}
-    used: set[int] = set()
-    for entry in _vertex_pairs(obj.get("failures", []), "multidegree", "failure"):
-        key = tuple(sorted(entry))
-        index = next((i for i, e in enumerate(G.edges) if e == key and i not in used), None)
-        if index is None:
-            raise MalformedInput(f"no unused edge {key} for the failure entry")
-        used.add(index)
-    with _invalid("multidegree"):
-        return TorsionFreeDegree(G, deg, used)
-
-
-def multidegree_to_json(F: TorsionFreeDegree) -> dict:
-    out = {"deg": {v: F.norm_deg[v] for v in F.graph.vertices}}
-    if F.failures:
-        out["failures"] = [list(F.graph.edges[i]) for i in sorted(F.failures)]
-    return out
-
-
 # -- divisor classes ---------------------------------------------------------------------
 
 
-def class_from_json(obj) -> DivisorClass:
-    """Decode {"g", "n", "lambda", "psi": {j: c}, "delta_irr", "delta": [{"i","S","c"}]}."""
-    obj = _expect_object(obj, "class")
-    g, n = _gn_from_json(obj)
-    psi = {}
-    for key, c in _expect_object(obj.get("psi", {}), "class.psi").items():
-        j = parse_int_text(key, f"psi keys must be integers, got {repr_text(key)}")
-        if j in psi:
-            raise MalformedInput(f"psi_{j} is given twice")
-        psi[j] = parse_rational(c)
-    delta = _pair_entries(obj.get("delta", []), "class.delta", "delta entry", "c", parse_rational, g, n)
-    with _invalid("class"):  # a bad lambda or delta_irr reads "invalid class: ..."
-        return DivisorClass(
-            g,
-            n,
-            lam=parse_rational(obj.get("lambda", 0)),
-            psi=psi,
-            delta_irr=parse_rational(obj.get("delta_irr", 0)),
-            delta=delta,
-        )
-
-
-def class_to_json(cls: DivisorClass) -> dict:
+def class_to_json(cls) -> dict:
+    """Encode a DivisorClass by its attributes alone, so the input boundary needs no class import."""
     return {
         "g": cls.g,
         "n": cls.n,

@@ -24,10 +24,12 @@ from .errors import (
     InvalidGraph,
     MalformedInput,
     repr_text,
+    sorted_text,
     sum_text,
 )
 from .graphs import (
     MarkedGraph,
+    _as_frozenset,
     _as_iterable,
     _as_mapping,
     _checked_edge_index,
@@ -83,7 +85,7 @@ class TorsionFreeDegree:
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}:{self.norm_deg[v]}" for v in self.graph.vertices)
-        return f"TorsionFreeDegree({{{inner}}}, failures={sorted(self.failures)})"
+        return f"TorsionFreeDegree({{{inner}}}, failures={sorted_text(self.failures)})"
 
 
 Multidegree = TorsionFreeDegree
@@ -95,12 +97,12 @@ def partial_degree(F: TorsionFreeDegree, subset: Iterable[str]) -> int:
     Sums the normalization degrees over the subset and counts the failure
     edges internal to it (a failure loop is internal to its vertex).
     """
-    V0 = frozenset(_as_iterable(subset, "subset", GraphMismatch))
+    V0 = _as_frozenset(subset, "subset", GraphMismatch)
     if not V0:
         raise EmptySubset("partial degrees need a nonempty vertex subset")
     G = F.graph
     if not V0 <= set(G.vertices):
-        raise GraphMismatch(f"subset {sorted(V0)} contains non-vertices")
+        raise GraphMismatch(f"subset {sorted_text(V0)} contains non-vertices")
     internal = sum(
         1 for i in F.failures if G.edges[i][0] in V0 and G.edges[i][1] in V0
     )

@@ -26,12 +26,14 @@ from .errors import (
     InvalidParameter,
     NonAmple,
     repr_text,
+    sorted_text,
     sum_text,
 )
 from .graphs import (
     BoundaryPair,
     MarkedGraph,
     RootedTree,
+    _as_frozenset,
     _as_iterable,
     _as_mapping,
     admissible_pairs,
@@ -168,7 +170,11 @@ class GraphParameter:
         return self.values[v]
 
     def subset_sum(self, subset: Iterable[str]) -> Fraction:
-        return sum((self.values[v] for v in subset), Fraction(0))
+        try:
+            return sum((self.values[v] for v in subset), Fraction(0))
+        except (KeyError, TypeError):  # a non-vertex or unhashable member, or no iterable at all
+            V0 = _as_frozenset(subset, "subset", GraphMismatch)
+            raise GraphMismatch(f"subset {sorted_text(V0)} contains non-vertices") from None
 
     @cached_property
     def _tree_sums(self) -> tuple[RootedTree, dict[str, Fraction]]:
@@ -355,10 +361,10 @@ def ell(pG: GraphParameter, subset: Iterable[str], d: int) -> Fraction:
     """The affine functional d - phi(subset) + (#crossing edges)/2 whose zero locus is a wall."""
     if type(d) is not int:
         raise InvalidParameter(f"d must be an integer, got {repr_text(d)}")
-    V0 = frozenset(_as_iterable(subset, "subset", GraphMismatch))
+    V0 = _as_frozenset(subset, "subset", GraphMismatch)
     G = pG.graph
     if not V0 <= set(G.vertices):
-        raise GraphMismatch(f"subset {sorted(V0)} contains non-vertices")
+        raise GraphMismatch(f"subset {sorted_text(V0)} contains non-vertices")
     if not V0 or V0 == frozenset(G.vertices):
         raise EmptyOrFullSubset("the subset must be proper and nonempty")
     crossing = len(crossing_edge_indices(G, V0))

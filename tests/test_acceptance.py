@@ -107,7 +107,7 @@ def test_c1_c2_identities_at_ladder_sizes(g, n):
     phi1 = random_parameter(rng, g, n)
     phi2 = random_parameter(rng, g, n)
     crossing = wall_crossing(phi1, phi2)
-    assert not crossing.is_zero
+    assert any(crossing.coeffs)
     assert stepped_crossing(phi1, phi2) == crossing
     checked = 0
     while checked < 3:

@@ -70,7 +70,7 @@ def test_binom2_small_values():
 def test_class_drops_zero_coefficients():
     c = DivisorClass(2, 2, lam=0, psi={1: F(0), 2: F(3)}, delta={pair(1, 1): F(0)})
     assert dict(c.psi) == {2: F(3)} and dict(c.delta) == {}
-    assert c.psi_coeff(1) == 0 and c.delta_coeff(pair(1, 1)) == 0
+    assert c.coeffs[1] == 0 and c.delta.get(pair(1, 1), 0) == 0
 
 
 def test_class_rejects_bad_basis_keys():
@@ -79,7 +79,7 @@ def test_class_rejects_bad_basis_keys():
     with pytest.raises(BasisMismatch):
         DivisorClass(2, 2, delta={pair(2, 1): F(1)})  # needs #S <= n-2 at i=g
     with pytest.raises(BasisMismatch):
-        DivisorClass(2, 2).psi_coeff(5)
+        DivisorClass(2, 2, psi={5: F(1)})
 
 
 def test_bool_is_not_a_psi_index():
@@ -87,7 +87,7 @@ def test_bool_is_not_a_psi_index():
     with pytest.raises(BasisMismatch):
         DivisorClass(2, 2, psi={True: F(1)})
     with pytest.raises(BasisMismatch):
-        DivisorClass(2, 2, psi={1: F(1)}).psi_coeff(True)
+        DivisorClass(2, 2, psi={2: F(1), True: F(1)})  # also after a valid key
 
 
 def test_class_rejects_inexact_coefficients():
@@ -127,8 +127,8 @@ def test_class_algebra_examples():
 
 def test_class_arithmetic_dunders():
     a = DivisorClass(2, 2, lam=1, psi={1: F(2)})
-    assert (a - a).is_zero
-    assert (2 * a).psi_coeff(1) == 4
+    assert not any((a - a).coeffs)
+    assert (2 * a).coeffs[1] == 4
     assert (-a).lam == -1
 
 
@@ -139,7 +139,7 @@ def test_class_coefficients_follow_the_basis_labels():
     )
     assert c.coeffs == (F(-1), F(0), F(3), F(1, 8), F(0), F(-3), F(0))
     assert repr(c) == "DivisorClass(-1*lambda + 3*psi_2 + 1/8*delta_irr + -3*delta_(1,{1}))"
-    assert c.delta_coeff(pair(2, 1)) == 0  # not a basis element at (2,2)
+    assert c.delta.get(pair(2, 1), 0) == 0  # not a basis element at (2,2)
     with pytest.raises(BasisMismatch):
         c + DivisorClass(2, 1)
     with pytest.raises(BasisMismatch):
@@ -192,7 +192,7 @@ def test_wall_crossing_single_examples():
     assert wall_crossing_single(2, 2, pair(1, 1), 3) == DivisorClass(
         2, 2, delta={pair(1, 1): F(2)}
     )
-    assert wall_crossing_single(2, 2, pair(1, 1), 1).is_zero
+    assert not any(wall_crossing_single(2, 2, pair(1, 1), 1).coeffs)
     assert wall_crossing_single(2, 2, pair(0, 1, 2), 1) == DivisorClass(
         2, 2, delta={pair(0, 1, 2): F(1)}
     )
@@ -206,7 +206,7 @@ def test_wall_crossing_example():
     assert wall_crossing(phi1, phi2) == DivisorClass(
         2, 2, delta={pair(0, 1, 2): F(-1), pair(1, 1): F(-3)}
     )
-    assert wall_crossing(phi1, phi1).is_zero
+    assert not any(wall_crossing(phi1, phi1).coeffs)
 
 
 def test_wall_crossing_cocycle():
@@ -218,7 +218,7 @@ def test_wall_crossing_cocycle():
             + wall_crossing(phis[1], phis[2])
             + wall_crossing(phis[2], phis[0])
         )
-        assert total.is_zero
+        assert not any(total.coeffs)
 
 
 def test_wall_crossing_matches_pullback_difference():
@@ -268,12 +268,12 @@ def test_mueller_example_equals_stable_pairs_when_t_empty():
     cls = mueller_class(2, 2, (3, -2))
     assert cls == stable_pairs_class(2, 2, (3, -2))
     t_set, diff = mueller_comparison(2, 2, (3, -2))
-    assert t_set == [] and diff.is_zero
+    assert t_set == [] and not any(diff.coeffs)
 
 
 def test_mueller_absolute_value_coefficient():
     cls = mueller_class(3, 3, (1, 2, -1))
-    assert cls.delta_coeff(pair(2, 1)) == -1  # -C(|1-2|+1, 2)
+    assert cls.delta[pair(2, 1)] == -1  # -C(|1-2|+1, 2)
 
 
 def test_mueller_requires_negative_degree():

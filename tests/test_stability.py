@@ -51,6 +51,7 @@ from jacwall import (
     phi_from_label,
     phi_from_slope,
     polytope_label,
+    stability_inequality,
     theta_pullback,
     twist_label,
     twist_parameter,
@@ -166,9 +167,10 @@ def _boundary_cases():
         ("GraphParameter", lambda x: GraphParameter(G, {"v1": x, "v2": 1 - x if type(x) in (int, F) else 0}),
          lambda out: out.value("v1")),
         ("DivisorClass.lam", lambda x: DivisorClass(2, 2, lam=x), lambda out: out.lam),
-        ("DivisorClass.psi", lambda x: DivisorClass(2, 2, psi={2: x}), lambda out: out.psi_coeff(2)),
+        ("DivisorClass.psi", lambda x: DivisorClass(2, 2, psi={2: x}), lambda out: out.coeffs[2]),
         ("DivisorClass.delta_irr", lambda x: DivisorClass(2, 2, delta_irr=x), lambda out: out.delta_irr),
-        ("DivisorClass.delta", lambda x: DivisorClass(2, 2, delta={p11: x}), lambda out: out.delta_coeff(p11)),
+        ("DivisorClass.delta", lambda x: DivisorClass(2, 2, delta={p11: x}),
+         lambda out: out.coeffs[5]),  # the delta_(1,{1}) coefficient
         ("DivisorClass.scaled", lambda x: DivisorClass(2, 2, lam=1).scaled(x), lambda out: out.lam),
     ]
 
@@ -444,7 +446,7 @@ def _two_vertex_route(call):
             "expected an int or a Fraction, got ",
         ),
         (lambda: DivisorClass(2, 2, psi={1: (LONG,)}), InvalidParameter, "expected an int or a Fraction, got "),
-        (lambda: DivisorClass(2, 2).psi_coeff(LONG), BasisMismatch, "psi index must lie in 1..2, got "),
+        (lambda: DivisorClass(2, 2, psi={LONG: 1}), BasisMismatch, "psi index must lie in 1..2, got "),
         (lambda: admissible_pairs(HUGE_THIRD, 2), InvalidGN, "g and n must be integers, got g="),
         (
             lambda: normalize_pair(2, 2, HUGE_THIRD, [1]),
@@ -507,6 +509,92 @@ def test_every_library_message_names_a_value_past_the_digit_limit(build, error, 
     limit = sys.get_int_max_str_digits()
     with pytest.raises(error, match=f"^{re.escape(message)}a value over Python's {limit}-digit limit"):
         build()
+
+
+_OVER_LIMIT = f"a value over Python's {sys.get_int_max_str_digits()}-digit limit for writing an integer"
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (_two_vertex_route(lambda G, pG, F: partial_degree(F, [1, "v1"])), GraphMismatch,
+         "subset ['v1', 1] contains non-vertices"),
+        (_two_vertex_route(lambda G, pG, F: ell(pG, [1, "v1"], 0)), GraphMismatch, "subset ['v1', 1] contains non-vertices"),
+        (lambda: BoundaryPair(1, [1, "a"]), InadmissiblePair, "markings must be positive integers, got ['a', 1]"),
+        (lambda: normalize_pair(2, 2, 0, [1, "a"]), InadmissiblePair, "markings ['a', 1] not contained in 1..2"),
+        (_two_vertex_route(lambda G, pG, F: partial_degree(F, [["v1"]])), GraphMismatch,
+         "subset must hold hashable values, got [['v1']]"),
+        (_two_vertex_route(lambda G, pG, F: ell(pG, [["v1"]], 0)), GraphMismatch,
+         "subset must hold hashable values, got [['v1']]"),
+        (lambda: BoundaryPair(1, [[1]]), InadmissiblePair, "S must hold hashable values, got [[1]]"),
+        (lambda: BoundaryPair(1, [LONG]), InadmissiblePair, f"marking 1 must lie on the S side, got S={_OVER_LIMIT}"),
+        (lambda: MarkedGraph({"a": 1}, [], {LONG: "a"}), InvalidGraph, f"markings must be exactly 1..n, got {_OVER_LIMIT}"),
+        (_two_vertex_route(lambda G, pG, F: partial_degree(F, [LONG])), GraphMismatch,
+         f"subset {_OVER_LIMIT} contains non-vertices"),
+    ],
+    ids=[
+        "partial-degree-mixed",
+        "ell-mixed",
+        "boundary-pair-mixed",
+        "normalize-pair-mixed",
+        "partial-degree-unhashable",
+        "ell-unhashable",
+        "boundary-pair-unhashable",
+        "boundary-pair-long",
+        "graph-markings-long",
+        "partial-degree-long",
+    ],
+)
+def test_messages_writing_a_collection_survive_any_member(build, error, message):
+    # sorted() raised TypeError on members that do not compare, frozenset() on unhashable ones,
+    # and the written list raised ValueError on an int past the digit limit
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+_LONG_PAIR_TEXT = (
+    "(1,{1,a number with 5001 digits,"
+    f" over Python's {sys.get_int_max_str_digits()}-digit limit for writing an integer}})"
+)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda p: two_vertex_graph(2, 2, p), InadmissiblePair),
+        (lambda p: DivisorClass(2, 2, delta={p: 1}), BasisMismatch),
+        (lambda p: twist_label(polytope_label(phi_from_degrees(2, 2, [1, 0])), {p: 1}), InadmissiblePair),
+        (lambda p: StabilityParameter(2, 2, {p: 1}), InvalidParameter),
+        (lambda p: phi_from_degrees(2, 2, [1, 0]).phi_plus(p), InadmissiblePair),
+    ],
+    ids=["two-vertex-graph", "class-delta", "twist-label", "parameter", "phi-plus"],
+)
+def test_a_pair_holding_a_long_marking_is_written_by_its_digit_count(build, error):
+    # BoundaryPair.__str__ wrote each marking with str(), which raised ValueError past the digit limit
+    with pytest.raises(error, match=re.escape(_LONG_PAIR_TEXT)):
+        build(BoundaryPair(1, {1, LONG}))
+
+
+def test_boundary_pair_text():
+    assert str(BoundaryPair(1, {2, 1})) == "(1,{1,2})"
+    assert str(BoundaryPair(1, {1, LONG})) == _LONG_PAIR_TEXT
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda G, pG, F: pG.subset_sum(frozenset({"zz"})),
+        lambda G, pG, F: pG.subset_sum([["v1"]]),
+        lambda G, pG, F: pG.subset_sum(5),
+        lambda G, pG, F: stability_inequality(pG, F, frozenset({"zz"}), True),
+    ],
+    ids=["non-vertex", "unhashable", "not-iterable", "stability-inequality"],
+)
+def test_subset_sum_refuses_a_subset_that_is_not_of_vertices(call):
+    # the sum raised KeyError or TypeError
+    with pytest.raises(GraphMismatch):
+        _two_vertex_route(call)()
 
 
 @pytest.mark.parametrize("d", [0.5, "x", True, None, Fraction(1)], ids=["float", "str", "bool", "none", "fraction"])
