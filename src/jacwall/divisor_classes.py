@@ -114,26 +114,27 @@ class DivisorClass:
             )
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
         self._check_same_space(other)
         return DivisorClass._of(
             self.g, self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
         self._check_same_space(other)
         return DivisorClass._of(
             self.g, self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __neg__(self) -> "DivisorClass":
-        return self.scaled(-1)
-
-    def scaled(self, c) -> "DivisorClass":
-        c = _as_fraction(c)
-        return DivisorClass._of(self.g, self.n, tuple(c * v for v in self.coeffs))
+        return -1 * self
 
     def __rmul__(self, c) -> "DivisorClass":
-        return self.scaled(c)
+        c = _as_fraction(c)
+        return DivisorClass._of(self.g, self.n, tuple(c * v for v in self.coeffs))
 
     def __repr__(self) -> str:
         terms = [

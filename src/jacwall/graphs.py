@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
@@ -65,21 +64,38 @@ def _as_frozenset(value, name: str, error: type[JacwallError]) -> frozenset:
         raise error(f"{name} must hold hashable values, got {repr_text(value)}") from None
 
 
-@dataclass(frozen=True)
 class BoundaryPair:
     """Index (i, S) of a boundary divisor: a genus-i side carrying the markings S, with 1 in S."""
 
-    i: int
-    S: frozenset[int]
+    __slots__ = ("i", "S")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "S", _as_frozenset(self.S, "S", InadmissiblePair))
-        if not all(type(j) is int and j >= 1 for j in self.S):
-            raise InadmissiblePair(f"markings must be positive integers, got {sorted_text(self.S)}")
-        if 1 not in self.S:
-            raise InadmissiblePair(f"marking 1 must lie on the S side, got S={sorted_text(self.S)}")
-        if type(self.i) is not int or self.i < 0:
-            raise InadmissiblePair(f"side genus must be a nonnegative integer, got i={repr_text(self.i)}")
+    def __init__(self, i: int, S: Iterable[int]) -> None:
+        S = _as_frozenset(S, "S", InadmissiblePair)
+        if not all(type(j) is int and j >= 1 for j in S):
+            raise InadmissiblePair(f"markings must be positive integers, got {sorted_text(S)}")
+        if 1 not in S:
+            raise InadmissiblePair(f"marking 1 must lie on the S side, got S={sorted_text(S)}")
+        if type(i) is not int or i < 0:
+            raise InadmissiblePair(f"side genus must be a nonnegative integer, got i={repr_text(i)}")
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "S", S)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"BoundaryPair fields cannot be set or deleted, got {repr_text(name)}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return BoundaryPair, (self.i, self.S)  # copy and pickle rebuild through __init__, not __setattr__
+
+    def __eq__(self, other) -> bool:
+        return (self.i, self.S) == (other.i, other.S) if type(other) is BoundaryPair else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.i, self.S))
+
+    def __repr__(self) -> str:
+        return f"BoundaryPair(i={repr_text(self.i)}, S={repr_text(self.S)})"
 
     def is_admissible(self, g: int, n: int) -> bool:
         """True when (i, S) indexes a boundary divisor of the genus-g, n-marked moduli space."""

@@ -65,18 +65,18 @@ class TorsionFreeDegree:
                 f" got {sum_text(sum(values.values()))} + {len(fail)}"
             )
         self.graph = graph
-        self.norm_deg = self.deg = MappingProxyType(values)
+        self.deg = MappingProxyType(values)
         self.failures = fail
 
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self.norm_deg[v] for v in self.graph.vertices)
+        return tuple(self.deg[v] for v in self.graph.vertices)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorsionFreeDegree):
             return NotImplemented
         return (
             self.graph == other.graph
-            and self.norm_deg == other.norm_deg
+            and self.deg == other.deg
             and self.failures == other.failures
         )
 
@@ -84,7 +84,7 @@ class TorsionFreeDegree:
         return hash((self.graph, self.as_tuple(), self.failures))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v}:{self.norm_deg[v]}" for v in self.graph.vertices)
+        inner = ", ".join(f"{v}:{self.deg[v]}" for v in self.graph.vertices)
         return f"TorsionFreeDegree({{{inner}}}, failures={sorted_text(self.failures)})"
 
 
@@ -106,7 +106,7 @@ def partial_degree(F: TorsionFreeDegree, subset: Iterable[str]) -> int:
     internal = sum(
         1 for i in F.failures if G.edges[i][0] in V0 and G.edges[i][1] in V0
     )
-    return sum(F.norm_deg[v] for v in V0) + internal
+    return sum(F.deg[v] for v in V0) + internal
 
 
 def stability_inequality(pG: GraphParameter, F: TorsionFreeDegree, subset: frozenset[str], strict: bool) -> bool:
@@ -147,7 +147,7 @@ def _is_semistable_on_tree(pG: GraphParameter, F: TorsionFreeDegree, strict: boo
     on the two sides read phi(T) - 1/2 <= deg(T) <= phi(T) + 1/2 - f.
     """
     tree, phi = pG._tree_sums
-    degree = dict(F.norm_deg)
+    degree = dict(F.deg)
     for i in F.failures:  # counted at the child end of its edge, or at the vertex of its loop
         degree[max(pG.graph.edges[i], key=tree.position.__getitem__)] += 1
     deg = tree.totals(degree)

@@ -90,15 +90,6 @@ class _PairVector:
     def pairs(self) -> tuple[BoundaryPair, ...]:
         return admissible_pairs(self.g, self.n)
 
-    def _by_pair(self) -> Mapping[BoundaryPair, object]:
-        return MappingProxyType(dict(zip(self.pairs, self.values)))
-
-    def _at(self, pair: BoundaryPair):
-        k = pair_index(self.g, self.n).get(pair)
-        if k is None:
-            raise InadmissiblePair(f"{pair} is not admissible for (g,n)=({self.g},{self.n})")
-        return self.values[k]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -121,15 +112,14 @@ class StabilityParameter(_PairVector):
     def _checked(coords: Mapping[BoundaryPair, Fraction]) -> dict[BoundaryPair, Fraction]:
         return {pair: _as_fraction(c) for pair, c in coords.items()}
 
-    @property
-    def coords(self) -> Mapping[BoundaryPair, Fraction]:
-        return self._by_pair()
-
     def phi_plus(self, pair: BoundaryPair) -> Fraction:
-        return self._at(pair)
+        k = pair_index(self.g, self.n).get(pair)
+        if k is None:
+            raise InadmissiblePair(f"{pair} is not admissible for (g,n)=({self.g},{self.n})")
+        return self.values[k]
 
     def phi_minus(self, pair: BoundaryPair) -> Fraction:
-        return self.g - 1 - self._at(pair)
+        return self.g - 1 - self.phi_plus(pair)
 
 
 class PolytopeLabel(_PairVector):
@@ -146,10 +136,7 @@ class PolytopeLabel(_PairVector):
 
     @property
     def label(self) -> Mapping[BoundaryPair, int]:
-        return self._by_pair()
-
-    def d(self, pair: BoundaryPair) -> int:
-        return self._at(pair)
+        return MappingProxyType(dict(zip(self.pairs, self.values)))
 
 
 class GraphParameter:

@@ -72,8 +72,7 @@ def stepped_crossing(phi1, phi2):
     g, n = phi1.g, phi1.n
     stepped = DivisorClass(g, n)
     lab1, lab2 = polytope_label(phi1), polytope_label(phi2)
-    for pair in lab1.pairs:
-        d1, d2 = lab1.d(pair), lab2.d(pair)
+    for pair, d1, d2 in zip(lab1.pairs, lab1.values, lab2.values):
         for d in range(d1 + 1, d2 + 1):
             stepped = stepped + wall_crossing_single(g, n, pair, d)
         for d in range(d2 + 1, d1 + 1):
@@ -233,7 +232,7 @@ def test_c6_polytope_iff_stability(corpus4):
         for _ in range(3):
             phi1 = random_parameter(rng, g, n)
             label = polytope_label(phi1)
-            coords = {p: label.d(p) + F(rng.randint(-4, 4), 10) for p in label.pairs}
+            coords = {p: d + F(rng.randint(-4, 4), 10) for p, d in label.label.items()}
             phi2 = StabilityParameter(g, n, coords)
             assert polytope_label(phi2) == label
             for G in graphs:
@@ -249,7 +248,7 @@ def test_c6_polytope_iff_stability(corpus4):
             lab1, lab2 = polytope_label(phi1), polytope_label(phi2)
             if lab1 == lab2:
                 continue
-            witness = next(p for p in lab1.pairs if lab1.d(p) != lab2.d(p))
+            witness = next(p for p, d1, d2 in zip(lab1.pairs, lab1.values, lab2.values) if d1 != d2)
             G = two_vertex_graph(g, n, witness)
             first = all_stable_multidegrees_bruteforce(extend_to_graph(phi1, G), strict=True)
             second = all_stable_multidegrees_bruteforce(extend_to_graph(phi2, G), strict=True)

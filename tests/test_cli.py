@@ -461,6 +461,23 @@ def test_empty_parameter_source_is_malformed(command, flag, message, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["compare", "--g", "3", "--n", "3", "--degrees=-1,2,1"], "degrees=-1,2,1)"),
+        (["polytope", "--g", "2", "--n", "2", "--from-degrees=-2,3"], "(1,{1})    -2"),
+    ],
+    ids=["degrees", "from-degrees"],
+)
+def test_negative_first_degree_list_is_joined_to_its_flag(argv, shown, capsys):
+    # argparse reads a separate value starting with "-" as an option; the README gives the "=" form
+    assert main(argv) == 0
+    assert shown in capsys.readouterr().out
+    with pytest.raises(SystemExit) as spaced:
+        main([*argv[:-1], *argv[-1].split("=")])
+    assert spaced.value.code == 2 and "expected one argument" in capsys.readouterr().err
+
+
 BIG = "1" + "0" * 5000  # more digits than int() reads from text by default
 
 

@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from decimal import Decimal
@@ -103,7 +104,7 @@ def test_class_rejects_inexact_coefficients():
         with pytest.raises(InvalidParameter, match=message):
             DivisorClass(2, 2, delta={pair(1, 1): value})
         with pytest.raises(InvalidParameter, match=message):
-            DivisorClass(2, 2, lam=1).scaled(value)
+            value * DivisorClass(2, 2, lam=1)
 
 
 def test_degree_routes_check_gn_first():
@@ -117,12 +118,12 @@ def test_degree_routes_check_gn_first():
 def test_class_algebra_examples():
     a = DivisorClass(2, 2, lam=-1, psi={1: F(6)})
     b = DivisorClass(2, 2, delta_irr=F(1, 8))
-    assert a.scaled(1) + b.scaled(0) == a
-    assert a.scaled(1) + a.scaled(-1) == DivisorClass(2, 2)
-    doubled = DivisorClass(2, 2, lam=1).scaled(2) + DivisorClass(2, 2).scaled(1)
+    assert 1 * a + 0 * b == a
+    assert 1 * a + -1 * a == DivisorClass(2, 2)
+    doubled = 2 * DivisorClass(2, 2, lam=1) + 1 * DivisorClass(2, 2)
     assert doubled.lam == 2
     with pytest.raises(BasisMismatch):
-        a.scaled(1) + DivisorClass(2, 1).scaled(1)
+        1 * a + 1 * DivisorClass(2, 1)
 
 
 def test_class_arithmetic_dunders():
@@ -130,6 +131,16 @@ def test_class_arithmetic_dunders():
     assert not any((a - a).coeffs)
     assert (2 * a).coeffs[1] == 4
     assert (-a).lam == -1
+
+
+@pytest.mark.parametrize("other", [5, None, F(1, 2), "x"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_class_arithmetic_with_a_non_class_raises_type_error(op, other):
+    # _check_same_space read other.g, so a class plus or minus a non-class raised AttributeError
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(DivisorClass(2, 2, lam=1), other)
+    with pytest.raises(TypeError):
+        op(other, DivisorClass(2, 2, lam=1))
 
 
 def test_class_coefficients_follow_the_basis_labels():

@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -396,6 +399,35 @@ def test_bools_are_not_pair_indices():
     with pytest.raises(InadmissiblePair):
         BoundaryPair(True, {True})
     assert normalize_pair(2, 2, 1, [2]) == BoundaryPair(1, {1})
+
+
+def test_boundary_pair_repr_and_equality():
+    assert repr(BoundaryPair(1, {1})) == "BoundaryPair(i=1, S=frozenset({1}))"
+    assert BoundaryPair(1, {1}) != (1, frozenset({1})) and BoundaryPair(1, [1]) == BoundaryPair(1, {1})
+    # the generated repr wrote S with repr(), which raised ValueError past the digit limit
+    limit = sys.get_int_max_str_digits()
+    text = f"BoundaryPair(i=1, S=a value over Python's {limit}-digit limit for writing an integer)"
+    assert repr(BoundaryPair(1, {1, 10**5000})) == text
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_boundary_pair_copies_and_pickles(clone):
+    p = BoundaryPair(2, {1, 3})
+    q = clone(p)
+    assert type(q) is BoundaryPair and q == p and hash(q) == hash(p) and (q.i, q.S) == (2, frozenset({1, 3}))
+
+
+@pytest.mark.parametrize("field", ["i", "S"])
+def test_boundary_pair_fields_cannot_be_set_or_deleted(field):
+    # a pair keys every pair-indexed dict, so changing one in place would lose its entries
+    p = BoundaryPair(1, {1})
+    with pytest.raises(AttributeError):
+        setattr(p, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(p, field)
+    assert p == BoundaryPair(1, {1}) and (p.i, p.S) == (1, frozenset({1}))
 
 
 def test_invalid_gn():

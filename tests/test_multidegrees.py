@@ -69,7 +69,7 @@ def test_line_bundle_is_the_sheaf_without_failures(tv):
     md = Multidegree(tv, {"v1": 1, "v2": 0})
     assert Multidegree is TorsionFreeDegree
     assert md == TorsionFreeDegree(tv, {"v1": 1, "v2": 0}, [])
-    assert md.failures == frozenset() and dict(md.deg) == dict(md.norm_deg) == {"v1": 1, "v2": 0}
+    assert md.failures == frozenset() and dict(md.deg) == {"v1": 1, "v2": 0}
     assert md.as_tuple() == (1, 0) and len({md, Multidegree(tv, {"v1": 1, "v2": 0})}) == 1
     assert md != TorsionFreeDegree(tv, {"v1": 0, "v2": 0}, [0])
 
@@ -179,7 +179,7 @@ def test_elementary_equals_all_modes_on_positive_rank():
         for failure_rate in (0.0, 0.0, 0.35, 0.35):
             F_sheaf = random_sheaf(rng, G, failure_rate)
             # a parameter near the degrees, so that semistable sheaves are common
-            values = {v: F_sheaf.norm_deg[v] + F(rng.randint(-6, 6), 8) for v in G.vertices[:-1]}
+            values = {v: F_sheaf.deg[v] + F(rng.randint(-6, 6), 8) for v in G.vertices[:-1]}
             values[G.vertices[-1]] = genus(G) - 1 - sum(values.values())
             pG = GraphParameter(G, values)
             for strict in (False, True):
@@ -363,7 +363,7 @@ def test_same_label_same_stable_sets_two_vertex():
     for g, n in GN_SET:
         phi1 = random_parameter(rng, g, n)
         label = polytope_label(phi1)
-        coords = {p: label.d(p) + F(rng.randint(-4, 4), 10) for p in label.pairs}
+        coords = {p: d + F(rng.randint(-4, 4), 10) for p, d in label.label.items()}
         phi2 = StabilityParameter(g, n, coords)
         for p in label.pairs:
             G = two_vertex_graph(g, n, p)

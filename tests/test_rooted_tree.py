@@ -220,7 +220,7 @@ def test_one_walk_serves_extension_multidegree_and_semistability(shape, monkeypa
 def _on_walls(rng, G, phi, count):
     """phi with the coordinates that `count` random tree edges cut moved onto walls d + 1/2."""
     tree = rooted_tree(G)
-    coords = dict(phi.coords)
+    coords = dict(zip(phi.pairs, phi.values))
     for v in rng.sample(tree.order[1:], min(count, len(tree.order) - 1)):
         coords[tree.cut(v)[0]] = Fraction(2 * rng.randint(-3, 3) + 1, 2)
     return StabilityParameter(phi.g, phi.n, coords)

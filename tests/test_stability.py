@@ -106,7 +106,7 @@ def test_first_wall_reports_canonical_order():
 def test_polytope_label_examples():
     lab = polytope_label(param22(F(7, 10), F(-3, 10), F(11, 10)))
     p012, p11, p112 = admissible_pairs(2, 2)
-    assert lab.d(p012) == 1 and lab.d(p11) == 0 and lab.d(p112) == 1
+    assert lab.label == {p012: 1, p11: 0, p112: 1}
 
 
 def test_polytope_label_rejects_wall():
@@ -125,7 +125,7 @@ def test_label_is_unique_integer_in_open_interval(numerator, denominator):
         with pytest.raises(DegenerateParameter):
             polytope_label(phi)
     else:
-        d = polytope_label(phi).d(pair(0, 1, 2))
+        d = polytope_label(phi).label[pair(0, 1, 2)]
         assert d - F(1, 2) < value < d + F(1, 2)
 
 
@@ -171,7 +171,7 @@ def _boundary_cases():
         ("DivisorClass.delta_irr", lambda x: DivisorClass(2, 2, delta_irr=x), lambda out: out.delta_irr),
         ("DivisorClass.delta", lambda x: DivisorClass(2, 2, delta={p11: x}),
          lambda out: out.coeffs[5]),  # the delta_(1,{1}) coefficient
-        ("DivisorClass.scaled", lambda x: DivisorClass(2, 2, lam=1).scaled(x), lambda out: out.lam),
+        ("c * DivisorClass", lambda x: x * DivisorClass(2, 2, lam=1), lambda out: out.lam),
     ]
 
 
@@ -221,11 +221,12 @@ def test_checked_and_unchecked_constructors_agree(g, n):
         label = polytope_label(phi)
         rng.shuffle(pairs)  # the public constructors take any key order
         coords = {p: phi.phi_plus(p) for p in pairs}
-        d = {p: label.d(p) for p in pairs}
+        by_pair = label.label
+        d = {p: by_pair[p] for p in pairs}
         for built, public in ((phi, StabilityParameter(g, n, coords)), (label, PolytopeLabel(g, n, d))):
             assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
             assert built.values == public.values and public.pairs == admissible_pairs(g, n)
-        assert phi.coords == coords and label.label == d
+        assert dict(zip(phi.pairs, phi.values)) == coords and label.label == d
 
 
 def test_phi_from_degrees_examples():
@@ -243,8 +244,8 @@ def test_phi_from_degrees_label_is_partial_sum():
         for _ in range(5):
             degrees = random_degrees(rng, g, n)
             lab = polytope_label(phi_from_degrees(g, n, degrees))
-            for p in lab.pairs:
-                assert lab.d(p) == sum(degrees[j - 1] for j in p.S)
+            for p, d in lab.label.items():
+                assert d == sum(degrees[j - 1] for j in p.S)
 
 
 def test_phi_from_degrees_rejects_bad_sum():
@@ -828,7 +829,7 @@ def test_twist_label_examples():
     pairs = admissible_pairs(2, 2)
     lab = PolytopeLabel(2, 2, dict(zip(pairs, [1, 3, 1])))
     up = twist_label(lab, {pair(1, 1): 1})
-    assert up.d(pair(1, 1)) == 4 and up.d(pairs[0]) == 1
+    assert up.label[pair(1, 1)] == 4 and up.label[pairs[0]] == 1
     assert twist_label(lab, {}) == lab
 
 
