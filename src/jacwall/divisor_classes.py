@@ -20,7 +20,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import BasisMismatch, NoNegativeDegree, repr_text
-from .graphs import BoundaryPair, _as_mapping, admissible_pairs, check_gn, pair_index, side_sums
+from .graphs import BoundaryPair, _as_mapping, _Value, admissible_pairs, check_gn, pair_index, side_sums
 from .stability import StabilityParameter, _as_fraction, phi_from_degrees, polytope_label, side_degrees
 
 
@@ -40,12 +40,12 @@ def basis_labels(g: int, n: int) -> tuple[str, ...]:
     )
 
 
-class DivisorClass:
+class DivisorClass(_Value):
     """A rational coefficient vector over {lambda, psi_1..psi_n, delta_irr, delta_(i,S)}.
 
     ``coeffs`` holds every coefficient, zeros included, in ``basis_labels(g, n)``
     order, so equality is coefficientwise; each is given as an int or a Fraction.
-    Instances are immutable; arithmetic returns new values.
+    Instances are immutable and hash by value; arithmetic returns new values.
     """
 
     def __init__(
@@ -75,13 +75,6 @@ class DivisorClass:
         self.n = n
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def _of(cls, g: int, n: int, coeffs: tuple[Fraction, ...]) -> "DivisorClass":
-        """A class from an already complete coefficient tuple."""
-        out = cls.__new__(cls)
-        out.g, out.n, out.coeffs = g, n, coeffs
-        return out
-
     @property
     def lam(self) -> Fraction:
         return self.coeffs[0]
@@ -101,10 +94,8 @@ class DivisorClass:
         pairs = admissible_pairs(self.g, self.n)
         return MappingProxyType({p: c for p, c in zip(pairs, self.coeffs[self.n + 2 :]) if c})
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DivisorClass):
-            return NotImplemented
-        return (self.g, self.n, self.coeffs) == (other.g, other.n, other.coeffs)
+    def _key(self):
+        return (self.g, self.n, self.coeffs)
 
     def _check_same_space(self, other: "DivisorClass") -> None:
         if (self.g, self.n) != (other.g, other.n):
@@ -117,24 +108,20 @@ class DivisorClass:
         if not isinstance(other, DivisorClass):
             return NotImplemented
         self._check_same_space(other)
-        return DivisorClass._of(
-            self.g, self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return DivisorClass._of(g=self.g, n=self.n, coeffs=tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
             return NotImplemented
         self._check_same_space(other)
-        return DivisorClass._of(
-            self.g, self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return DivisorClass._of(g=self.g, n=self.n, coeffs=tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "DivisorClass":
         return -1 * self
 
     def __rmul__(self, c) -> "DivisorClass":
         c = _as_fraction(c)
-        return DivisorClass._of(self.g, self.n, tuple(c * v for v in self.coeffs))
+        return DivisorClass._of(g=self.g, n=self.n, coeffs=tuple(c * v for v in self.coeffs))
 
     def __repr__(self) -> str:
         terms = [
@@ -149,7 +136,7 @@ class DivisorClass:
 def _theta_form(g: int, n: int, degrees: Sequence[int], delta) -> DivisorClass:
     """-lambda + sum_j C(d_j+1, 2) psi_j + the delta_(i,S) coefficients, given in pair order."""
     psi = (Fraction(binom2(d + 1)) for d in degrees)
-    return DivisorClass._of(g, n, (Fraction(-1), *psi, Fraction(0), *map(Fraction, delta)))
+    return DivisorClass._of(g=g, n=n, coeffs=(Fraction(-1), *psi, Fraction(0), *map(Fraction, delta)))
 
 
 def theta_pullback(phi: StabilityParameter, degrees: Sequence[int]) -> DivisorClass:
@@ -185,7 +172,7 @@ def wall_crossing(phi1: StabilityParameter, phi2: StabilityParameter) -> Divisor
         Fraction(binom2(d2 - pair.i + 1) - binom2(d1 - pair.i + 1))
         for pair, d1, d2 in zip(label1.pairs, label1.values, label2.values)
     )
-    return DivisorClass._of(phi1.g, phi1.n, (Fraction(0),) * (phi1.n + 2) + tuple(delta))
+    return DivisorClass._of(g=phi1.g, n=phi1.n, coeffs=(Fraction(0),) * (phi1.n + 2) + tuple(delta))
 
 
 def stable_pairs_class(g: int, n: int, degrees: Sequence[int]) -> DivisorClass:
@@ -274,7 +261,7 @@ def compare_classes(g: int, n: int, degrees: Sequence[int]) -> ClassComparison:
     pairs_class = stable_pairs_class(g, n, degrees)
     eighth_irr = DivisorClass(g, n, delta_irr=Fraction(1, 8))
     hain = pairs_class + eighth_irr  # hain_class, without computing stable_pairs_class again
-    flat_phi = StabilityParameter._of(g, n, tuple(Fraction(p.i) for p in admissible_pairs(g, n)))
+    flat_phi = StabilityParameter._of(g=g, n=n, values=tuple(Fraction(p.i) for p in admissible_pairs(g, n)))
     flat_pullback = theta_pullback(flat_phi, degrees)
     classes = {"pullback(phi_d)": pullback_d, "stable-pairs": pairs_class, "hain": hain}
     identities = [

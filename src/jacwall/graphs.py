@@ -42,6 +42,29 @@ def check_gn(g: int, n: int) -> None:
         raise InvalidGN(f"genus 0 requires n >= 3, got n={n}")
 
 
+class _Value:
+    """Value semantics for the library's value types: each subclass gives ``_key()`` alone.
+
+    Two values are equal when they have the same type and the same key, and
+    equal values hash alike.  ``_of(**fields)`` builds an instance from fields
+    that are already checked, never from outside input, skipping ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @classmethod
+    def _of(cls, **fields):
+        out = cls.__new__(cls)
+        out.__dict__.update(fields)
+        return out
+
+
 def _as_mapping(value, name: str, error: type[JacwallError] = InvalidParameter) -> Mapping:
     """value itself when it is a mapping; error naming the argument otherwise."""
     if not isinstance(value, Mapping):
@@ -64,7 +87,7 @@ def _as_frozenset(value, name: str, error: type[JacwallError]) -> frozenset:
         raise error(f"{name} must hold hashable values, got {repr_text(value)}") from None
 
 
-class BoundaryPair:
+class BoundaryPair(_Value):
     """Index (i, S) of a boundary divisor: a genus-i side carrying the markings S, with 1 in S."""
 
     __slots__ = ("i", "S")
@@ -88,11 +111,8 @@ class BoundaryPair:
     def __reduce__(self):
         return BoundaryPair, (self.i, self.S)  # copy and pickle rebuild through __init__, not __setattr__
 
-    def __eq__(self, other) -> bool:
-        return (self.i, self.S) == (other.i, other.S) if type(other) is BoundaryPair else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.i, self.S))
+    def _key(self):
+        return (self.i, self.S)
 
     def __repr__(self) -> str:
         return f"BoundaryPair(i={repr_text(self.i)}, S={repr_text(self.S)})"
@@ -139,7 +159,7 @@ def _checked_pair(g: int, n: int, pair: BoundaryPair) -> BoundaryPair:
     return pair
 
 
-class MarkedGraph:
+class MarkedGraph(_Value):
     """An immutable connected stable marked graph.
 
     Vertices are string ids with nonnegative genera.  Edges form a multiset of
@@ -251,14 +271,6 @@ class MarkedGraph:
 
     def _key(self):
         return (tuple(sorted(self.genus_of.items())), self.edges, tuple(sorted(self.marking_of.items())))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MarkedGraph):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         genera = ",".join(f"{v}:{g}" for v, g in sorted(self.genus_of.items()))

@@ -34,6 +34,7 @@ from .graphs import (
     _as_mapping,
     _checked_edge_index,
     _proper_subsets,
+    _Value,
     crossing_edge_indices,
     elementary_subgraphs,
     genus,
@@ -42,7 +43,7 @@ from .graphs import (
 from .stability import HALF, GraphParameter, _wall_hit
 
 
-class TorsionFreeDegree:
+class TorsionFreeDegree(_Value):
     """A rank-1 torsion-free sheaf of total degree g - 1, by normalization degrees and failure nodes.
 
     ``failures`` is a set of edge indices; the sum of the normalization
@@ -71,17 +72,8 @@ class TorsionFreeDegree:
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(self.deg[v] for v in self.graph.vertices)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorsionFreeDegree):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.deg == other.deg
-            and self.failures == other.failures
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.as_tuple(), self.failures))
+    def _key(self):
+        return (self.graph, self.as_tuple(), self.failures)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}:{self.deg[v]}" for v in self.graph.vertices)
@@ -187,7 +179,7 @@ def stable_multidegree(pG: GraphParameter) -> Multidegree:
         )
 
     rounded = {v: math.floor(s + HALF) for v, s in subtree_sum.items()}
-    return Multidegree(G, tree.differences(rounded))
+    return Multidegree._of(graph=G, deg=MappingProxyType(tree.differences(rounded)), failures=frozenset())
 
 
 def all_stable_multidegrees_bruteforce(pG: GraphParameter, strict: bool = False) -> list[Multidegree]:

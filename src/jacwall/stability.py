@@ -36,6 +36,7 @@ from .graphs import (
     _as_frozenset,
     _as_iterable,
     _as_mapping,
+    _Value,
     admissible_pairs,
     check_gn,
     contract,
@@ -58,7 +59,7 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-class _PairVector:
+class _PairVector(_Value):
     """One value per admissible pair of (g, n), held as ``values`` in `admissible_pairs` order.
 
     Subclasses give ``_noun`` and ``_checked``, which checks the values the public constructor takes.
@@ -79,24 +80,12 @@ class _PairVector:
         self.n = n
         self.values = tuple(map(values.__getitem__, pairs))
 
-    @classmethod
-    def _of(cls, g: int, n: int, values: tuple):
-        """A vector from already checked values in `admissible_pairs(g, n)` order."""
-        out = cls.__new__(cls)
-        out.g, out.n, out.values = g, n, values
-        return out
-
     @property
     def pairs(self) -> tuple[BoundaryPair, ...]:
         return admissible_pairs(self.g, self.n)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.g, self.n, self.values) == (other.g, other.n, other.values)
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.n, self.values))
+    def _key(self):
+        return (self.g, self.n, self.values)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{p}:{v}" for p, v in zip(self.pairs, self.values))
@@ -139,7 +128,7 @@ class PolytopeLabel(_PairVector):
         return MappingProxyType(dict(zip(self.pairs, self.values)))
 
 
-class GraphParameter:
+class GraphParameter(_Value):
     """A vertex assignment on one graph summing to g - 1, each value an int or a Fraction."""
 
     def __init__(self, graph: MarkedGraph, values: Mapping[str, Fraction]):
@@ -169,10 +158,8 @@ class GraphParameter:
         tree = rooted_tree(self.graph)
         return tree, tree.totals(self.values)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GraphParameter):
-            return NotImplemented
-        return self.graph == other.graph and self.values == other.values
+    def _key(self):
+        return (self.graph, tuple(map(self.values.__getitem__, self.graph.vertices)))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}:{self.values[v]}" for v in self.graph.vertices)
@@ -210,7 +197,7 @@ def polytope_label(phi: StabilityParameter) -> PolytopeLabel:
             pair=pair,
             d=d,
         )
-    return PolytopeLabel._of(phi.g, phi.n, tuple(math.floor(value + HALF) for value in phi.values))
+    return PolytopeLabel._of(g=phi.g, n=phi.n, values=tuple(math.floor(value + HALF) for value in phi.values))
 
 
 # -- constructors ----------------------------------------------------------------
@@ -233,12 +220,12 @@ def phi_from_degrees(g: int, n: int, degrees: Sequence[int]) -> StabilityParamet
     This is the parameter under which the line bundle twisted by the degree
     vector along the markings is stable; it is always nondegenerate.
     """
-    return StabilityParameter._of(g, n, tuple(map(Fraction, side_degrees(g, n, degrees)[1])))
+    return StabilityParameter._of(g=g, n=n, values=tuple(map(Fraction, side_degrees(g, n, degrees)[1])))
 
 
 def phi_from_label(label: PolytopeLabel) -> StabilityParameter:
     """An interior point of the named polytope: phi+(i, S) = d(i, S) exactly."""
-    return StabilityParameter._of(label.g, label.n, tuple(map(Fraction, label.values)))
+    return StabilityParameter._of(g=label.g, n=label.n, values=tuple(map(Fraction, label.values)))
 
 
 def canonical_parameter(g: int, n: int) -> StabilityParameter:
@@ -248,7 +235,7 @@ def canonical_parameter(g: int, n: int) -> StabilityParameter:
     pair exists; it corresponds to classical slope stability.
     """
     check_gn(g, n)
-    return StabilityParameter._of(g, n, tuple(pair.i - HALF for pair in admissible_pairs(g, n)))
+    return StabilityParameter._of(g=g, n=n, values=tuple(pair.i - HALF for pair in admissible_pairs(g, n)))
 
 
 def dualizing_degree(G: MarkedGraph, v: str) -> int:
@@ -267,6 +254,8 @@ def phi_from_slope(
     A, M = _as_mapping(A, "polarization A"), dict(_as_mapping({} if M is None else M, "twist M"))
     if not M.keys() <= G.genus_of.keys():
         raise GraphMismatch(f"twist M must be given on vertices of the graph only, got {repr_text(M)}")
+    if not A.keys() <= G.genus_of.keys():
+        raise GraphMismatch(f"polarization A must be given on vertices of the graph only, got {repr_text(A)}")
     for v in G.vertices:
         a, m = A.get(v), M.get(v, 0)
         if type(a) is not int or a <= 0:
@@ -295,7 +284,7 @@ def random_parameter(rng: random.Random, g: int, n: int) -> StabilityParameter:
             if _wall_hit(value) is None:
                 coords.append(value)
                 break
-    return StabilityParameter._of(g, n, tuple(coords))
+    return StabilityParameter._of(g=g, n=n, values=tuple(coords))
 
 
 def random_degrees(rng: random.Random, g: int, n: int) -> tuple[int, ...]:
@@ -325,9 +314,7 @@ def extend_to_graph(phi: StabilityParameter, G: MarkedGraph) -> GraphParameter:
     for v in tree.order[1:]:
         pair, below = tree.cut(v)
         sums[v] = phi.phi_plus(pair) if below else phi.phi_minus(pair)
-    pG = GraphParameter(G, tree.differences(sums))
-    pG._tree_sums = tree, sums
-    return pG
+    return GraphParameter._of(graph=G, values=MappingProxyType(tree.differences(sums)), _tree_sums=(tree, sums))
 
 
 def check_compatibility(pG: GraphParameter, edge_indices: Iterable[int], pH: GraphParameter) -> bool:
@@ -400,7 +387,7 @@ def twist_label(label: PolytopeLabel, twist: Mapping[BoundaryPair, int]) -> Poly
     S-side degree by 1; missing pairs act trivially.
     """
     t = _check_twist(label.g, label.n, twist)
-    return PolytopeLabel._of(label.g, label.n, tuple(d + s for d, s in zip(label.values, t)))
+    return PolytopeLabel._of(g=label.g, n=label.n, values=tuple(d + s for d, s in zip(label.values, t)))
 
 
 def connecting_twist(label1: PolytopeLabel, label2: PolytopeLabel) -> dict[BoundaryPair, int]:
@@ -413,4 +400,4 @@ def connecting_twist(label1: PolytopeLabel, label2: PolytopeLabel) -> dict[Bound
 def twist_parameter(phi: StabilityParameter, twist: Mapping[BoundaryPair, int]) -> StabilityParameter:
     """Translate a parameter coordinatewise by an integer twist (phi+ += t)."""
     t = _check_twist(phi.g, phi.n, twist)
-    return StabilityParameter._of(phi.g, phi.n, tuple(c + s for c, s in zip(phi.values, t)))
+    return StabilityParameter._of(g=phi.g, n=phi.n, values=tuple(c + s for c, s in zip(phi.values, t)))

@@ -133,6 +133,12 @@ def test_class_arithmetic_dunders():
     assert (-a).lam == -1
 
 
+def test_classes_hash_by_value():
+    # DivisorClass defined __eq__ without __hash__, so Python made it unhashable
+    a, b = DivisorClass(2, 2, lam=3), DivisorClass(2, 2, lam=F(3))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
 @pytest.mark.parametrize("other", [5, None, F(1, 2), "x"])
 @pytest.mark.parametrize("op", [operator.add, operator.sub])
 def test_class_arithmetic_with_a_non_class_raises_type_error(op, other):

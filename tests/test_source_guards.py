@@ -81,6 +81,25 @@ def test_library_messages_write_values_through_repr_text():
     assert _lines_where(lambda line: "!r}" in line or "{sorted(" in line) == []
 
 
+def test_value_types_compare_one_way():
+    # equality, hashing and the constructor from checked fields are graphs._Value's alone;
+    # a value type gives only its _key(), so every value compares against its own type only
+    protocol = ("__eq__", "__hash__", "_of")
+    found = []
+    for path in SOURCES:
+        for owner in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            found += [
+                (path.name, getattr(owner, "name", "<module>"), node.name, node.lineno)
+                for node in ast.iter_child_nodes(owner)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in protocol
+            ]
+    outside = [
+        f"{file}:{line} {owner}.{name}" for file, owner, name, line in found if (file, owner) != ("graphs.py", "_Value")
+    ]
+    assert outside == []
+    assert [name for _, _, name, _ in found] == list(protocol)
+
+
 # The paper's constructions that tests exercise as subjects, though no library code calls them.
 PAPER_CONSTRUCTIONS = (
     "ell",

@@ -23,6 +23,7 @@ from jacwall import (
     InvalidParameter,
     MalformedInput,
     MarkedGraph,
+    Multidegree,
     NonAmple,
     NotTreeLike,
     PolytopeLabel,
@@ -52,12 +53,13 @@ from jacwall import (
     phi_from_slope,
     polytope_label,
     stability_inequality,
+    stable_multidegree,
     theta_pullback,
     twist_label,
     twist_parameter,
     two_vertex_graph,
 )
-from testutil import GN_SET, random_degrees, random_parameter, reference_pair, reference_side
+from testutil import GN_SET, random_degrees, random_parameter, random_tree_graph, reference_pair, reference_side
 
 F = Fraction
 
@@ -227,6 +229,12 @@ def test_checked_and_unchecked_constructors_agree(g, n):
             assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
             assert built.values == public.values and public.pairs == admissible_pairs(g, n)
         assert dict(zip(phi.pairs, phi.values)) == coords and label.label == d
+    # extend_to_graph and stable_multidegree build through _of too, here on a 50-vertex ladder graph
+    G = random_tree_graph(rng, "caterpillar", 50)
+    pG = extend_to_graph(random_parameter(rng, genus(G), G.n), G)
+    md = stable_multidegree(pG)
+    for built, public in ((pG, GraphParameter(G, dict(pG.values))), (md, Multidegree(G, dict(md.deg)))):
+        assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
 
 
 def test_phi_from_degrees_examples():
@@ -321,6 +329,13 @@ def test_phi_from_slope_checks_its_twist():
     with pytest.raises(InvalidParameter, match="got 0.5 at v1"):
         phi_from_slope(G, A, {"v1": 0.5})
 
+
+def test_phi_from_slope_rejects_stray_polarization_keys():
+    # a polarization key that is not a vertex was ignored, as a twist key was before it
+    G = two_vertex_graph(2, 2, pair(1, 1))
+    message = "polarization A must be given on vertices of the graph only, got {'v1': 1, 'v2': 1, 'zz': 5}"
+    with pytest.raises(GraphMismatch, match=f"^{re.escape(message)}$"):
+        phi_from_slope(G, {"v1": 1, "v2": 1, "zz": 5})
 
 
 def test_container_arguments_must_be_mappings():
